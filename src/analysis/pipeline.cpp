@@ -1,9 +1,7 @@
 #include "analysis/pipeline.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "analysis/icache_domain.hpp"
@@ -29,28 +27,17 @@ struct PenaltyBundle {
     /// one subtree per convolution round.
     std::vector<std::uint32_t> row_of_set;
     /// Raw per-row miss counts — kept verbatim because they are the
-    /// "set-penalty-v1" key material (re-weighted and from-scratch runs
-    /// must share that memo layer bit for bit).
+    /// "set-penalty-v1" key material (the per-row memo keys must stay
+    /// those of the historical per-set layer, bit for bit).
     std::vector<std::vector<double>> rows;
-    /// Precomputed atom values per row: ceil(misses) * miss_penalty, the
-    /// same arithmetic build_penalty_distribution applies per set.
+    /// Precomputed atom values per row: ceil(misses) * miss_penalty
+    /// (paper Fig. 1.b: miss_penalty * FMM[s][f]).
     std::vector<std::vector<Cycles>> penalties;
   };
   std::vector<Domain> domains;  ///< one per pipeline domain, in order
 };
 
 namespace {
-
-/// Escape hatch for the re-weighting layer (PWCET_REWEIGHT=0 restores the
-/// per-cell from-scratch path). Both paths are bit-identical — CI diffs
-/// them — so this exists only to prove that claim and to bisect.
-bool reweight_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("PWCET_REWEIGHT");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return enabled;
-}
 
 PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
                                             const CacheConfig& config) {
@@ -75,12 +62,13 @@ PenaltyBundle::Domain build_domain_scaffold(const FaultMissMap& fmm,
   return domain;
 }
 
-/// The re-weighted counterpart of build_penalty_distribution: one penalty
-/// distribution per *distinct* FMM row under the given pwf, combined with
-/// the deduplicating convolution tree. Bit-identical to the from-scratch
-/// build — the per-row atoms are the same (penalties precomputed with the
-/// same arithmetic), the per-row memo key is the same "set-penalty-v1"
-/// recipe, and convolve_all_tree_shared reproduces the fixed tree shape.
+/// Re-weights one domain scaffold under the given pwf: one penalty
+/// distribution per *distinct* FMM row, combined with the deduplicating
+/// convolution tree. Equal to building every set's distribution and
+/// convolving the expanded per-set list with the same fixed-shape tree
+/// (pinned against that per-set composition by analysis_pipeline_test):
+/// sets sharing a row have equal atoms, and convolve_all_tree_shared
+/// reproduces the tree shape over the expanded leaves.
 DiscreteDistribution build_reweighted_penalty(
     const PenaltyBundle::Domain& domain, const CacheConfig& config,
     const std::vector<Probability>& pwf, std::size_t max_points,
@@ -173,50 +161,8 @@ DiscreteDistribution build_penalty_distribution(
     const FaultMissMap& fmm, const CacheConfig& config,
     const std::vector<Probability>& pwf, std::size_t max_points,
     ThreadPool* pool, AnalysisStore* store) {
-  obs::ScopedPhase penalty_phase(obs::phase_name::kPenalty);
-  // Per-set penalty distribution: one atom per possible fault count
-  // (paper Fig. 1.b), value = miss_penalty * FMM[s][f].
-  auto build_set_cold = [&](std::size_t s) {
-    std::vector<ProbabilityAtom> atoms;
-    atoms.reserve(pwf.size());
-    for (std::size_t f = 0; f < pwf.size(); ++f) {
-      const double misses = fmm.at(static_cast<SetIndex>(s),
-                                   static_cast<std::uint32_t>(f));
-      const auto penalty = static_cast<Cycles>(
-          std::ceil(misses - 1e-6) * static_cast<double>(config.miss_penalty));
-      atoms.push_back({penalty, pwf[f]});
-    }
-    return DiscreteDistribution::from_atoms(std::move(atoms));
-  };
-
-  // Per-set layer: keyed by the *content* the atoms are built from (FMM
-  // row, pwf, miss penalty), not by set index or task — so the many sets
-  // that share a row (untouched sets, symmetric layouts) build it once,
-  // across mechanisms, geometries with equal rows, domains and tasks.
-  auto build_set = [&](std::size_t s) {
-    if (store == nullptr) return build_set_cold(s);
-    const StoreKey key = KeyHasher("set-penalty-v1")
-                             .mix_i64(config.miss_penalty)
-                             .mix_doubles(pwf)
-                             .mix_doubles(fmm.misses[s])
-                             .finish();
-    return *store->memo().get_or_compute<DiscreteDistribution>(
-        key, [&] { return build_set_cold(s); }, "set-penalty");
-  };
-
-  // Sets are independent (Fig. 1.b): combine by convolution, pairwise so
-  // the rounds parallelize and the coalescing error stacks O(log S) deep
-  // instead of O(S). Pooled and serial paths produce identical bits.
-  std::vector<DiscreteDistribution> per_set;
-  if (pool != nullptr) {
-    per_set = pool->map_indexed(config.sets, build_set);
-  } else {
-    per_set.reserve(config.sets);
-    for (SetIndex s = 0; s < config.sets; ++s)
-      per_set.push_back(build_set(s));
-  }
-  obs::ScopedPhase convolve_phase(obs::phase_name::kConvolve);
-  return convolve_all_tree(per_set, max_points, pool);
+  return build_reweighted_penalty(build_domain_scaffold(fmm, config), config,
+                                  pwf, max_points, pool, store);
 }
 
 PwcetPipeline::PwcetPipeline(
@@ -395,30 +341,21 @@ PwcetResult PwcetPipeline::analyze(
       pwfs.push_back(domains_[i]->pwf(faults, mechanisms[i]));
   }
 
-  // Each domain's penalty runs through the shared per-set pipeline
-  // (content-addressed set distributions, fixed-shape convolution tree).
+  // Each domain's penalty re-weights the shared pfail-independent bundle:
+  // the scaffold is fetched (or built once) under its pfail-free key, and
+  // only the per-row weighting + the convolution fold run per pfail.
   // Domains are physically disjoint SRAM arrays — their fault counts are
   // independent — so the cross-domain penalty is the convolution, folded
   // in domain order with the same coalescing budget.
-  //
-  // Default path: re-weight the shared pfail-independent bundle — the
-  // scaffold is fetched (or built once) under its pfail-free key, and
-  // only the per-row weighting + the convolution fold run per pfail.
-  // PWCET_REWEIGHT=0 takes the historical from-scratch build instead;
-  // both are bit-identical (enforced by tests and a CI diff step).
   std::shared_ptr<const PenaltyBundle> bundle;
-  if (reweight_enabled()) {
+  {
     obs::ScopedPhase bundle_phase(obs::phase_name::kBundle);
     bundle = acquire_bundle(mechanisms);
   }
   auto domain_penalty = [&](std::size_t i) {
-    if (bundle != nullptr)
-      return build_reweighted_penalty(
-          bundle->domains[i], domains_[i]->config(), pwfs[i],
-          options_.max_distribution_points, options_.pool, store);
-    return build_penalty_distribution(
-        fmms_[i].of(mechanisms[i]), domains_[i]->config(), pwfs[i],
-        options_.max_distribution_points, options_.pool, store);
+    return build_reweighted_penalty(bundle->domains[i], domains_[i]->config(),
+                                    pwfs[i], options_.max_distribution_points,
+                                    options_.pool, store);
   };
   DiscreteDistribution penalty = domain_penalty(0);
   for (std::size_t i = 1; i < domains_.size(); ++i)

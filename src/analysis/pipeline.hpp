@@ -21,8 +21,9 @@
 ///
 /// One domain gives the paper's instruction-cache analysis; [icache,
 /// dcache] gives the combined I+D extension; any further domain composes
-/// the same way. The legacy analyzer classes (core/pwcet_analyzer.hpp,
-/// dcache/dcache_analysis.hpp) are thin facades over this pipeline.
+/// the same way. Every SPTA campaign cell runs through this class, and
+/// the single-cache analyzer (core/pwcet_analyzer.hpp) is a thin facade
+/// over it.
 ///
 /// Store-key compatibility contract: the pipeline core key of a
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
@@ -106,14 +107,16 @@ struct PwcetResult {
   std::vector<CcdfPoint> ccdf() const;
 };
 
-/// Per-set penalty-distribution pipeline shared by every domain: builds
-/// one distribution per set (atom value = miss_penalty * ceil(FMM[s][f]),
-/// probability pwf[f]) and combines the independent sets with the
-/// fixed-shape pairwise convolution tree. With a store, each set's
-/// distribution is memoized under a content key (FMM row, pwf, miss
-/// penalty) so identical rows share across sets, mechanisms, domains and
-/// even tasks. Deterministic: identical bits at any thread count, store
-/// on or off.
+/// Penalty distribution of one domain under one mechanism's FMM: one
+/// distribution per cache set (atom value = miss_penalty * ceil(FMM[s][f]),
+/// probability pwf[f]), the independent sets combined with the fixed-shape
+/// pairwise convolution tree. Built the way PwcetPipeline::analyze builds
+/// it — a pfail-independent scaffold of the distinct FMM rows, re-weighted
+/// under `pwf` — so the result is bit-identical to the pipeline's own. With
+/// a store, each distinct row's distribution is memoized under a content
+/// key (FMM row, pwf, miss penalty) shared across sets, mechanisms, domains
+/// and tasks. Deterministic: identical bits at any thread count, store on
+/// or off.
 DiscreteDistribution build_penalty_distribution(
     const FaultMissMap& fmm, const CacheConfig& config,
     const std::vector<Probability>& pwf, std::size_t max_points,

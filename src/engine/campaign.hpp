@@ -70,7 +70,7 @@ std::string write_policy_name(WritePolicy policy);
 
 /// One value of the data-cache axis: disabled (instruction-cache-only
 /// analysis, the default) or a data-cache geometry analyzed alongside the
-/// instruction cache (paper §VI future work, dcache/dcache_analysis.hpp).
+/// instruction cache (paper §VI future work, analysis/dcache_domain.hpp).
 struct DcacheAxis {
   bool enabled = false;
   CacheConfig geometry{};

@@ -20,8 +20,6 @@
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
 #include "cache/references.hpp"
-#include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/report.hpp"
 #include "engine/shard.hpp"
 #include "engine/thread_pool.hpp"
@@ -41,56 +39,12 @@
 namespace pwcet {
 namespace {
 
-/// Maps a finished SPTA analysis into a job row — shared by the
-/// single-cache and combined I+D paths so the two can never drift in how
-/// a PwcetResult becomes report columns.
-JobResult fill_spta_result(const CampaignJob& job, const PwcetResult& res,
-                           Cycles fault_free_wcet,
-                           const CampaignSpec& spec) {
-  JobResult r;
-  r.job = job;
-  r.fault_free_wcet = fault_free_wcet;
-  r.pwcet = static_cast<double>(res.pwcet(spec.target_exceedance));
-  r.penalty_mean = res.penalty.mean();
-  r.penalty_points = res.penalty.size();
-  r.curve.reserve(spec.ccdf_exceedances.size());
-  for (const Probability p : spec.ccdf_exceedances)
-    r.curve.push_back(static_cast<double>(res.pwcet(p)));
-  return r;
-}
-
-JobResult run_spta(const CampaignJob& job, const PwcetAnalyzer& analyzer,
-                   const CampaignSpec& spec) {
-  return fill_spta_result(
-      job, analyzer.analyze(FaultModel(job.pfail), job.mechanism),
-      analyzer.fault_free_wcet(), spec);
-}
-
-JobResult run_combined_spta(const CampaignJob& job,
-                            const CombinedPwcetAnalyzer& analyzer,
-                            const CampaignSpec& spec) {
-  return fill_spta_result(
-      job,
-      analyzer.analyze_mixed(FaultModel(job.pfail), job.mechanism,
-                             job.resolved_dmech()),
-      analyzer.fault_free_wcet(), spec);
-}
-
-/// True when the cell's composition goes beyond the two legacy analyzer
-/// facades — a write-back data cache, a TLB or a shared L2 — and must run
-/// on the generic PwcetPipeline. The legacy icache-only and write-through
-/// I+D shapes keep their facades (and thus their historic store keys).
-bool needs_pipeline(const CampaignJob& job) {
-  return job.tlb.enabled || job.l2.enabled ||
-         (job.dcache.enabled &&
-          job.dcache.policy == WritePolicy::kWriteBack);
-}
-
-/// Domain list of a generic-pipeline cell, in composition order:
-/// icache, then the data cache (write-through or write-back), then the
-/// TLB, then the shared L2. The order is part of the "pwcet-ncore-v1"
-/// store-key recipe (the pipeline chains domain names), so it must never
-/// change once results are persisted.
+/// Domain list of an SPTA cell, in composition order: icache, then the
+/// data cache (write-through or write-back), then the TLB, then the shared
+/// L2. The order is part of the store-key recipes: [icache] and [icache,
+/// dcache] reproduce the historical "pwcet-core-v1"/"pwcet-dcore-v1" core
+/// keys, and every other composition chains its domain names into
+/// "pwcet-ncore-v1" — so it must never change once results are persisted.
 std::vector<std::shared_ptr<const CacheDomain>> pipeline_domains(
     const CampaignJob& job) {
   std::vector<std::shared_ptr<const CacheDomain>> domains;
@@ -109,6 +63,9 @@ std::vector<std::shared_ptr<const CacheDomain>> pipeline_domains(
   return domains;
 }
 
+/// One SPTA cell: the group pipeline analyzed under the cell's mechanism
+/// assignment (one mechanism per domain, in pipeline_domains order),
+/// mapped into a job row.
 JobResult run_pipeline_spta(const CampaignJob& job,
                             const PwcetPipeline& pipeline,
                             const CampaignSpec& spec) {
@@ -120,9 +77,19 @@ JobResult run_pipeline_spta(const CampaignJob& job,
   // they have no pairing axis of their own.
   if (job.tlb.enabled) mechanisms.push_back(job.mechanism);
   if (job.l2.enabled) mechanisms.push_back(job.mechanism);
-  return fill_spta_result(
-      job, pipeline.analyze(FaultModel(job.pfail), mechanisms),
-      pipeline.fault_free_wcet(), spec);
+  const PwcetResult res =
+      pipeline.analyze(FaultModel(job.pfail), mechanisms);
+
+  JobResult r;
+  r.job = job;
+  r.fault_free_wcet = pipeline.fault_free_wcet();
+  r.pwcet = static_cast<double>(res.pwcet(spec.target_exceedance));
+  r.penalty_mean = res.penalty.mean();
+  r.penalty_points = res.penalty.size();
+  r.curve.reserve(spec.ccdf_exceedances.size());
+  for (const Probability p : spec.ccdf_exceedances)
+    r.curve.push_back(static_cast<double>(res.pwcet(p)));
+  return r;
 }
 
 JobResult run_mbpta_job(const CampaignJob& job, const Program& program,
@@ -440,11 +407,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       const Program program = workloads::build(first.task);
 
       // Built on the group's first SPTA cell; SRB/RW/pfail cells reuse it
-      // (the FMM bundle covers all mechanisms, per core/pwcet_analyzer.hpp).
-      // Groups with the data cache enabled build the combined analyzer
-      // instead — the dcache geometry is part of the group key.
-      std::optional<PwcetAnalyzer> analyzer;
-      std::optional<CombinedPwcetAnalyzer> combined;
+      // (the FMM bundles cover all mechanisms). campaign_group_key
+      // separates every domain composition, so one pipeline serves the
+      // whole group.
       std::optional<PwcetPipeline> pipeline;
       PwcetOptions popts;
       popts.engine = first.engine;
@@ -464,21 +429,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         }
         switch (job.kind) {
           case AnalysisKind::kSpta:
-            if (needs_pipeline(job)) {
-              if (!pipeline)
-                pipeline.emplace(program, pipeline_domains(job), popts);
-              campaign.results[index] = run_pipeline_spta(job, *pipeline,
-                                                          spec);
-            } else if (job.dcache.enabled) {
-              if (!combined)
-                combined.emplace(program, job.geometry, job.dcache.geometry,
-                                 popts);
-              campaign.results[index] = run_combined_spta(job, *combined,
-                                                          spec);
-            } else {
-              if (!analyzer) analyzer.emplace(program, job.geometry, popts);
-              campaign.results[index] = run_spta(job, *analyzer, spec);
-            }
+            if (!pipeline)
+              pipeline.emplace(program, pipeline_domains(job), popts);
+            campaign.results[index] = run_pipeline_spta(job, *pipeline, spec);
             break;
           case AnalysisKind::kMbpta:
             campaign.results[index] = run_mbpta_job(job, program, spec);

@@ -19,8 +19,8 @@
 /// any report rendered from it — is byte-identical for every thread count,
 /// with or without the store, cold or warm. This relies on (a) slot-indexed
 /// result collection, (b) per-job seeds derived from job keys, (c)
-/// fixed-shape parallel reductions inside the analyzer (see
-/// core/pwcet_analyzer.hpp), and (d) store keys that capture every input of
+/// fixed-shape parallel reductions inside the analysis pipeline (see
+/// analysis/pipeline.hpp), and (d) store keys that capture every input of
 /// the deterministic computation they name (see store/analysis_store.hpp).
 #pragma once
 

@@ -250,20 +250,34 @@ DiscreteDistribution DiscreteDistribution::coalesce_up(
   const std::size_t n = atoms_.size();
   const std::size_t to_remove = n - max_points;
 
-  std::vector<std::size_t> order(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double cost_a =
-        atoms_[a].probability *
-        static_cast<double>(atoms_[a + 1].value - atoms_[a].value);
-    const double cost_b =
-        atoms_[b].probability *
-        static_cast<double>(atoms_[b + 1].value - atoms_[b].value);
-    return cost_a < cost_b;
-  });
-
+  // The merges are the first to_remove of the candidates ranked by
+  // (cost, index) — a total order, so ties always merge the lowest-indexed
+  // atom first, independent of the standard library. Selected without
+  // sorting: nth_element finds the to_remove-th smallest cost; every
+  // cheaper candidate merges, and the remaining quota goes to the lowest
+  // indices at exactly that cost.
+  auto cost = [&](std::size_t i) {
+    return atoms_[i].probability *
+           static_cast<double>(atoms_[i + 1].value - atoms_[i].value);
+  };
+  std::vector<double> costs(n - 1);
+  for (std::size_t i = 0; i + 1 < n; ++i) costs[i] = cost(i);
+  std::nth_element(costs.begin(), costs.begin() + (to_remove - 1),
+                   costs.end());
+  const double threshold = costs[to_remove - 1];
   std::vector<bool> merged_up(n, false);
-  for (std::size_t i = 0; i < to_remove; ++i) merged_up[order[i]] = true;
+  std::size_t quota = to_remove;
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    if (cost(i) < threshold) {
+      merged_up[i] = true;
+      --quota;
+    }
+  for (std::size_t i = 0; i + 1 < n && quota > 0; ++i)
+    if (cost(i) == threshold) {
+      merged_up[i] = true;
+      --quota;
+    }
+  PWCET_ASSERT(quota == 0);
 
   std::vector<ProbabilityAtom> atoms;
   atoms.reserve(max_points);
@@ -320,42 +334,17 @@ DiscreteDistribution convolve_all(
   return acc;
 }
 
-DiscreteDistribution convolve_all_tree(
-    const std::vector<DiscreteDistribution>& parts, std::size_t max_points,
-    ThreadPool* pool) {
-  if (parts.empty()) return DiscreteDistribution();
-  std::vector<DiscreteDistribution> level = parts;
-  while (level.size() > 1) {
-    const std::size_t pairs = level.size() / 2;
-    auto reduce_pair = [&](std::size_t i) {
-      return level[2 * i].convolve(level[2 * i + 1]).coalesce_up(max_points);
-    };
-    std::vector<DiscreteDistribution> next;
-    if (pool != nullptr) {
-      next = pool->map_indexed(pairs, reduce_pair);
-    } else {
-      next.reserve(pairs + 1);
-      for (std::size_t i = 0; i < pairs; ++i)
-        next.push_back(reduce_pair(i));
-    }
-    if (level.size() % 2 != 0) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  // A single oversized input must still honour the budget.
-  return level.front().coalesce_up(max_points);
-}
-
 DiscreteDistribution convolve_all_tree_shared(
     const std::vector<DiscreteDistribution>& distinct,
     const std::vector<std::uint32_t>& ids, std::size_t max_points,
     ThreadPool* pool) {
   if (ids.empty()) return DiscreteDistribution();
   for (const std::uint32_t id : ids) PWCET_EXPECTS(id < distinct.size());
-  // Mirror convolve_all_tree exactly, but carry ids instead of values:
-  // each round pairs positions (0,1), (2,3), ..., and positions holding
-  // the same (left, right) id pair share one convolution. Work items are
-  // numbered in first-occurrence order so the pooled map stays a pure
-  // function of the input (deterministic at any thread count).
+  // Carry ids instead of values: each round pairs positions (0,1), (2,3),
+  // ..., and positions holding the same (left, right) id pair share one
+  // convolution. Work items are numbered in first-occurrence order so the
+  // pooled map stays a pure function of the input (deterministic at any
+  // thread count).
   std::vector<DiscreteDistribution> values = distinct;
   std::vector<std::uint32_t> level = ids;
   while (level.size() > 1) {

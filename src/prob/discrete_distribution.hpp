@@ -74,7 +74,8 @@ class DiscreteDistribution {
   DiscreteDistribution convolve(const DiscreteDistribution& other) const;
 
   /// Conservatively reduces the support to at most `max_points` atoms by
-  /// merging adjacent atoms into the one with the *larger* value. The result
+  /// merging adjacent atoms into the one with the *larger* value, cheapest
+  /// transported mass first (ties: lowest value first). The result
   /// stochastically dominates the original (exceedance is >= pointwise).
   DiscreteDistribution coalesce_up(std::size_t max_points) const;
 
@@ -109,29 +110,22 @@ DiscreteDistribution convolve_all(
 
 class ThreadPool;
 
-/// Pairwise (tree-shaped) variant of convolve_all: each round convolves
-/// fixed neighbour pairs (0,1), (2,3), ... and coalesces, halving the list
-/// until one distribution remains. Two advantages over the left fold:
-/// each round's pairings are independent, so with a `pool`
+/// Pairwise (tree-shaped) variant of convolve_all over the leaf list
+/// `distinct[ids[0]], distinct[ids[1]], ...` — the shape the re-weighting
+/// bundle produces, where many cache sets share one penalty distribution.
+/// Each round convolves fixed neighbour pairs (0,1), (2,3), ... and
+/// coalesces, halving the list until one distribution remains; an odd
+/// trailing leaf passes through unchanged. Three advantages over the left
+/// fold: each *distinct* (left id, right id) pair per round is convolved
+/// only once and the result shared by every position holding that pair
+/// (convolution and coalescing are deterministic, so this changes no bit);
+/// each round's work items are independent, so with a `pool`
 /// (engine/thread_pool.hpp) they run concurrently — bit-identical to the
 /// serial result at any thread count, since the tree shape is fixed; and
 /// only O(log n) coalescing steps stack up on any leaf-to-root path (vs
 /// O(n) on the fold's spine), so the accumulated upper-bound slack is
 /// smaller. Every merge only moves probability mass onto larger values, so
 /// the result still stochastically dominates the exact convolution.
-DiscreteDistribution convolve_all_tree(
-    const std::vector<DiscreteDistribution>& parts, std::size_t max_points,
-    ThreadPool* pool = nullptr);
-
-/// Deduplicating variant of convolve_all_tree for inputs given as
-/// (distinct distributions, per-leaf id) — the shape the re-weighting
-/// bundle produces, where many cache sets share one penalty distribution.
-/// The tree has exactly the same shape as convolve_all_tree applied to the
-/// expanded leaf list `distinct[ids[0]], distinct[ids[1]], ...`, but each
-/// *distinct* (left id, right id) pair per round is convolved only once
-/// and the result shared by every position holding that pair. Convolution
-/// and coalescing are deterministic, so equal id pairs produce equal
-/// results and the output is bit-identical to the non-deduplicating tree.
 DiscreteDistribution convolve_all_tree_shared(
     const std::vector<DiscreteDistribution>& distinct,
     const std::vector<std::uint32_t>& ids, std::size_t max_points,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "engine/thread_pool.hpp"
@@ -15,15 +13,6 @@
 
 namespace pwcet {
 namespace {
-
-/// Escape hatch: PWCET_FMM_DEDUP=0 disables the signature dedup below
-/// (A/B debugging, and the reference-equivalence test that pins dedup and
-/// non-dedup bundles bitwise). Read per call, not cached, so in-process
-/// tests can flip it with setenv.
-bool fmm_dedup_enabled() {
-  const char* env = std::getenv("PWCET_FMM_DEDUP");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 double maximize_delta(const Program& program, const CostModel& model,
                       WcetEngine engine, IpetCalculator* ipet) {
@@ -142,7 +131,8 @@ SetModels build_set_models(const Program& program, const CacheConfig& config,
 }
 
 /// Maximizes the models into rows. The engine sees the exact objective
-/// sequence of the pre-dedup code: f = 1..W-1, full none, full SRB.
+/// sequence of a per-set computation without dedup: f = 1..W-1, full
+/// none, full SRB.
 /// (f == W RW is unreachable per Eq. 3; the column stays 0 and is never
 /// weighted — the RW pwf vector has no f == W entry.)
 SetRows rows_from_models(const Program& program, const SetModels& models,
@@ -204,14 +194,13 @@ FmmBundle compute_fmm_bundle(const Program& program,
   // and perturb LP round-off — with the replay, the call sequence and its
   // bit-identical inputs match the non-dedup run exactly, so the bundle
   // does too.
-  const bool dedup = fmm_dedup_enabled();
   std::vector<SetIndex> representative(config.sets);
   std::vector<std::uint8_t> has_duplicate(config.sets, 0);
   {
     std::map<SetSignature, SetIndex> first_with;
     for (SetIndex s = 0; s < config.sets; ++s) {
       representative[s] = s;
-      if (!dedup || signatures[size_t(s)].empty()) continue;
+      if (signatures[size_t(s)].empty()) continue;
       const auto [it, inserted] = first_with.emplace(signatures[size_t(s)], s);
       representative[s] = it->second;
       if (!inserted) has_duplicate[size_t(it->second)] = 1;

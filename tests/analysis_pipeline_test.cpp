@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -17,7 +19,6 @@
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
 #include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/thread_pool.hpp"
 #include "store/analysis_store.hpp"
 #include "store/artifact_store.hpp"
@@ -35,10 +36,17 @@ CacheConfig small_dcache() {
   return dc;
 }
 
+/// The combined I+D composition: the paper-default icache and the 8x2
+/// dcache above.
+std::vector<std::shared_ptr<const CacheDomain>> i_d_domains() {
+  return {std::make_shared<const IcacheDomain>(CacheConfig::paper_default()),
+          std::make_shared<const DcacheDomain>(small_dcache())};
+}
+
 // ---- pre-refactor golden keys ----------------------------------------------
 
-// Hex values captured from the pre-pipeline PwcetAnalyzer /
-// CombinedPwcetAnalyzer on this exact input (fibcall, the paper-default
+// Hex values captured from the pre-pipeline single-cache and combined I+D
+// analyzers on this exact input (fibcall, the paper-default
 // icache, the 8x2 dcache above). If one of these fails, the refactored
 // key chain drifted from the historical recipes and every store written
 // before the change silently turns into misses — revert the drift (or,
@@ -53,11 +61,11 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
   EXPECT_EQ(pwcet_core_key(p, ic, WcetEngine::kTree).hex(),
             "e7bdbda527acf914ba3e580b6a9cee7a");
 
-  // The facades' core keys are the pipeline keys of the two shipped
-  // compositions — both must reproduce the historical recipes.
+  // The core keys of the two shipped compositions must reproduce the
+  // historical recipes.
   const PwcetAnalyzer single(p, ic);
   EXPECT_EQ(single.core_key().hex(), "cc02c7097bbec7aac3765c1f0b70271e");
-  const CombinedPwcetAnalyzer combined(p, ic, small_dcache());
+  const PwcetPipeline combined(p, i_d_domains());
   EXPECT_EQ(combined.core_key().hex(), "9fb50b765ec8ffff8199eff92bcfb640");
 
   // Row-prefix sub-domains: the icache domain shares the single-cache
@@ -72,7 +80,7 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
             "7b8a4afc2cfa84fd06e74c06e57244f1");
 
   // Per-set penalty layer: content-addressed on (miss penalty, pwf, FMM
-  // row) — the recipe build_penalty_distribution keys the memo with.
+  // row) — the recipe the penalty builder keys the memo with.
   EXPECT_EQ(KeyHasher("set-penalty-v1")
                 .mix_i64(10)
                 .mix_doubles({0.5, 0.25, 0.25})
@@ -106,10 +114,9 @@ TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
       fs::path(dir) / "distribution" /
       "8942d3694dac48474a8407b5414c1cb9.jsonl"));
 
-  const CombinedPwcetAnalyzer combined(p, CacheConfig::paper_default(),
-                                       small_dcache(), options);
-  combined.analyze_mixed(faults, Mechanism::kReliableWay,
-                         Mechanism::kSharedReliableBuffer);
+  const PwcetPipeline combined(p, i_d_domains(), options);
+  combined.analyze(faults, {Mechanism::kReliableWay,
+                            Mechanism::kSharedReliableBuffer});
   EXPECT_TRUE(fs::exists(
       fs::path(dir) / "distribution" /
       "7e58309b965fdef2b11b38445e742623.jsonl"));
@@ -127,12 +134,11 @@ TEST(PipelineGoldenKeys, NumericResultsMatchPreRefactorValues) {
       single.analyze(faults, Mechanism::kSharedReliableBuffer).pwcet(1e-15),
       14088u);
 
-  const CombinedPwcetAnalyzer combined(p, CacheConfig::paper_default(),
-                                       small_dcache());
+  const PwcetPipeline combined(p, i_d_domains());
   EXPECT_EQ(combined.fault_free_wcet(), 8188u);
   EXPECT_EQ(combined
-                .analyze_mixed(faults, Mechanism::kReliableWay,
-                               Mechanism::kSharedReliableBuffer)
+                .analyze(faults, {Mechanism::kReliableWay,
+                                  Mechanism::kSharedReliableBuffer})
                 .pwcet(1e-15),
             8188u);
 }
@@ -189,9 +195,9 @@ class TlbDomain final : public CacheDomain {
 };
 
 std::vector<std::shared_ptr<const CacheDomain>> three_domains() {
-  return {std::make_shared<const IcacheDomain>(CacheConfig::paper_default()),
-          std::make_shared<const DcacheDomain>(small_dcache()),
-          std::make_shared<const TlbDomain>()};
+  auto domains = i_d_domains();
+  domains.push_back(std::make_shared<const TlbDomain>());
+  return domains;
 }
 
 // One distinct mechanism per domain; the TLB runs unprotected so its
@@ -205,8 +211,7 @@ TEST(ThirdDomain, ComposesWithTheShippedTwo) {
   const FaultModel faults(1e-3);
 
   const PwcetPipeline three(p, three_domains());
-  const CombinedPwcetAnalyzer two(p, CacheConfig::paper_default(),
-                                  small_dcache());
+  const PwcetPipeline two(p, i_d_domains());
 
   // The TLB charges no fault-free cycles, so the single summed
   // maximization reproduces the two-domain WCET...
@@ -216,7 +221,7 @@ TEST(ThirdDomain, ComposesWithTheShippedTwo) {
   // ...and its faulty behaviour convolves into the penalty tail.
   const PwcetResult with_tlb = three.analyze(faults, kMixedMechanisms);
   const PwcetResult without =
-      two.analyze_mixed(faults, kMixedMechanisms[0], kMixedMechanisms[1]);
+      two.analyze(faults, {kMixedMechanisms[0], kMixedMechanisms[1]});
   EXPECT_GT(with_tlb.penalty.max_value(), without.penalty.max_value());
   EXPECT_GE(with_tlb.pwcet(1e-15), without.pwcet(1e-15));
   EXPECT_NEAR(with_tlb.penalty.total_mass(), 1.0, 1e-9);
@@ -355,22 +360,75 @@ TEST(Reweight, SweptCellsAreByteIdenticalToFreshPipelines) {
   }
 }
 
+/// Reference for the re-weighted penalty builder: the from-scratch per-set
+/// composition of paper Fig. 1.b. Every cache set gets its own
+/// distribution read straight off the raw FMM — one atom per fault count,
+/// value miss_penalty * ceil(FMM[s][f]), probability pwf[f] — and the
+/// per-set list is combined with the pairwise tree. Identity ids make
+/// convolve_all_tree_shared the plain (non-deduplicating) tree over that
+/// list; tree_convolve_test pins it against an expanded-leaf reference.
+DiscreteDistribution from_scratch_penalty(const FaultMissMap& fmm,
+                                          const CacheConfig& config,
+                                          const std::vector<Probability>& pwf,
+                                          std::size_t max_points) {
+  std::vector<DiscreteDistribution> per_set;
+  per_set.reserve(config.sets);
+  for (SetIndex s = 0; s < config.sets; ++s) {
+    std::vector<ProbabilityAtom> atoms;
+    for (std::size_t f = 0; f < pwf.size(); ++f) {
+      const double misses = fmm.at(s, static_cast<std::uint32_t>(f));
+      atoms.push_back({static_cast<Cycles>(
+                           std::ceil(misses - 1e-6) *
+                           static_cast<double>(config.miss_penalty)),
+                       pwf[f]});
+    }
+    per_set.push_back(DiscreteDistribution::from_atoms(std::move(atoms)));
+  }
+  std::vector<std::uint32_t> ids(per_set.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  return convolve_all_tree_shared(per_set, ids, max_points);
+}
+
 TEST(Reweight, MatchesTheFromScratchPenaltyComposition) {
-  // The re-weighted analyze() against the exported from-scratch builder
-  // (build_penalty_distribution reads the raw FMM per cell): bit-equality
-  // here proves the bundle path changes nothing, independent of the
-  // PWCET_REWEIGHT escape hatch and of which path analyze() took.
-  const Program p = workloads::build("fibcall");
-  const PwcetPipeline pipeline(
-      p, {std::make_shared<IcacheDomain>(CacheConfig::paper_default())});
-  for (const Mechanism mechanism : kAllMechanisms) {
-    for (const Probability pfail : kSweepPfails) {
-      const FaultModel faults(pfail);
-      const DiscreteDistribution from_scratch = build_penalty_distribution(
-          pipeline.fmm(0).of(mechanism), pipeline.domain(0).config(),
-          pipeline.domain(0).pwf(faults, mechanism), 2048, nullptr,
-          nullptr);
-      ASSERT_EQ(pipeline.analyze(faults, mechanism).penalty, from_scratch);
+  // analyze() and the exported build_penalty_distribution both re-weight a
+  // scaffold of the *distinct* FMM rows; bit-equality with the per-set
+  // reference proves the row dedup and the shared tree change nothing.
+  // Both tasks share rows across sets (fibcall's 16 icache sets have 4
+  // distinct rows, adpcm's 6; neither loads data, so all 8 dcache sets
+  // share one), so the dedup is exercised; the I+D pipeline covers a
+  // second geometry and the cross-domain fold.
+  for (const char* task : {"fibcall", "adpcm"}) {
+    const Program p = workloads::build(task);
+    const PwcetPipeline single(
+        p, {std::make_shared<IcacheDomain>(CacheConfig::paper_default())});
+    const PwcetPipeline combined(p, i_d_domains());
+    for (const Mechanism mechanism : kAllMechanisms) {
+      for (const Probability pfail : kSweepPfails) {
+        const FaultModel faults(pfail);
+        auto reference = [&](const PwcetPipeline& pipeline, std::size_t d) {
+          const CacheDomain& domain = pipeline.domain(d);
+          return from_scratch_penalty(pipeline.fmm(d).of(mechanism),
+                                      domain.config(),
+                                      domain.pwf(faults, mechanism), 2048);
+        };
+        ASSERT_EQ(single.analyze(faults, mechanism).penalty,
+                  reference(single, 0))
+            << task;
+        ASSERT_EQ(combined.analyze(faults, mechanism).penalty,
+                  reference(combined, 0)
+                      .convolve(reference(combined, 1))
+                      .coalesce_up(2048))
+            << task;
+        for (std::size_t d = 0; d < combined.domain_count(); ++d) {
+          const CacheDomain& domain = combined.domain(d);
+          ASSERT_EQ(build_penalty_distribution(
+                        combined.fmm(d).of(mechanism), domain.config(),
+                        domain.pwf(faults, mechanism), 2048, nullptr,
+                        nullptr),
+                    reference(combined, d))
+              << task << " domain " << d;
+        }
+      }
     }
   }
 }

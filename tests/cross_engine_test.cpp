@@ -13,13 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/l2_domain.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
 #include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "support/rng.hpp"
@@ -80,8 +80,12 @@ TEST_P(CrossEngineRandomTest, CombinedDcachePwcetAgrees) {
   PwcetOptions ilp_options, tree_options;
   ilp_options.engine = WcetEngine::kIlp;
   tree_options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer via_ilp(p, ic, dc, ilp_options);
-  const CombinedPwcetAnalyzer via_tree(p, ic, dc, tree_options);
+  const auto domains = [&] {
+    return std::vector<std::shared_ptr<const CacheDomain>>{
+        std::make_shared<IcacheDomain>(ic), std::make_shared<DcacheDomain>(dc)};
+  };
+  const PwcetPipeline via_ilp(p, domains(), ilp_options);
+  const PwcetPipeline via_tree(p, domains(), tree_options);
   expect_cycle_equal(static_cast<double>(via_ilp.fault_free_wcet()),
                      static_cast<double>(via_tree.fault_free_wcet()),
                      "combined fault-free WCET");
@@ -94,8 +98,8 @@ TEST_P(CrossEngineRandomTest, CombinedDcachePwcetAgrees) {
       {Mechanism::kReliableWay, Mechanism::kReliableWay},
   };
   for (const auto& [imech, dmech] : deployments) {
-    const auto ilp = via_ilp.analyze_mixed(faults, imech, dmech);
-    const auto tree = via_tree.analyze_mixed(faults, imech, dmech);
+    const auto ilp = via_ilp.analyze(faults, {imech, dmech});
+    const auto tree = via_tree.analyze(faults, {imech, dmech});
     expect_cycle_equal(static_cast<double>(ilp.pwcet(1e-15)),
                        static_cast<double>(tree.pwcet(1e-15)),
                        mechanism_name(imech) + "/" + mechanism_name(dmech));
@@ -105,7 +109,7 @@ TEST_P(CrossEngineRandomTest, CombinedDcachePwcetAgrees) {
 TEST_P(CrossEngineRandomTest, TripleDomainPipelinePwcetAgrees) {
   // The new production domains (write-back dcache, TLB, shared L2)
   // composed through the generic pipeline must agree across engines just
-  // like the legacy analyzers do.
+  // like the shipped I and I+D compositions do.
   workloads::RandomProgramParams params;
   params.max_heavy_fetches = 50000;
   params.max_data_loads = 4;

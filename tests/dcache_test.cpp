@@ -2,8 +2,13 @@
 // simulator-backed soundness of the data-side FMM.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "analysis/dcache_domain.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -11,6 +16,13 @@
 
 namespace pwcet {
 namespace {
+
+/// The combined I+D composition: [IcacheDomain, DcacheDomain].
+std::vector<std::shared_ptr<const CacheDomain>> i_d_domains(
+    const CacheConfig& icache, const CacheConfig& dcache) {
+  return {std::make_shared<const IcacheDomain>(icache),
+          std::make_shared<const DcacheDomain>(dcache)};
+}
 
 /// A table-lookup kernel: the loop body loads a 4-entry scalar cluster and
 /// walks a 64-byte constant table region.
@@ -55,7 +67,7 @@ TEST(Combined, FaultFreeWcetExceedsInstructionOnly) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   const PwcetAnalyzer ionly(p, cache, options);
-  const CombinedPwcetAnalyzer combined(p, cache, cache, options);
+  const PwcetPipeline combined(p, i_d_domains(cache, cache), options);
   // Data misses only add time.
   EXPECT_GT(combined.fault_free_wcet(), ionly.fault_free_wcet());
 }
@@ -65,7 +77,7 @@ TEST(Combined, InvariantsMatchSingleCacheAnalysis) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, cache, cache, options);
+  const PwcetPipeline a(p, i_d_domains(cache, cache), options);
   const FaultModel faults(1e-4);
   const auto none = a.analyze(faults, Mechanism::kNone);
   const auto rw = a.analyze(faults, Mechanism::kReliableWay);
@@ -87,15 +99,15 @@ TEST(Combined, MixedDeploymentBracketsUniformOnes) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, cache, cache, options);
+  const PwcetPipeline a(p, i_d_domains(cache, cache), options);
   const FaultModel faults(1e-4);
   const Cycles rw_rw =
       a.analyze(faults, Mechanism::kReliableWay).pwcet(1e-15);
   const Cycles srb_srb =
       a.analyze(faults, Mechanism::kSharedReliableBuffer).pwcet(1e-15);
   const Cycles rw_srb =
-      a.analyze_mixed(faults, Mechanism::kReliableWay,
-                      Mechanism::kSharedReliableBuffer)
+      a.analyze(faults, {Mechanism::kReliableWay,
+                         Mechanism::kSharedReliableBuffer})
           .pwcet(1e-15);
   EXPECT_LE(rw_rw, rw_srb);
   EXPECT_LE(rw_srb, srb_srb);
@@ -111,7 +123,8 @@ TEST(Combined, DataFmmSoundVsSimulation) {
   d.ways = 2;
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, CacheConfig::paper_default(), d, options);
+  const PwcetPipeline a(p, i_d_domains(CacheConfig::paper_default(), d),
+                        options);
 
   Rng rng(0xdcac);
   const auto drefs = extract_data_references(p.cfg(), d);
@@ -128,7 +141,7 @@ TEST(Combined, DataFmmSoundVsSimulation) {
       for (Address addr : p.cfg().block(blk).data_addresses) ff.fetch(addr);
     double fmm_misses = 0.0;
     for (SetIndex s = 0; s < d.sets; ++s)
-      fmm_misses += a.dcache_fmm().none.at(s, map.faulty_count(s));
+      fmm_misses += a.fmm(1).none.at(s, map.faulty_count(s));
     EXPECT_LE(static_cast<double>(sim.stats().misses),
               static_cast<double>(ff.stats().misses) + fmm_misses + 1e-6)
         << trial;
@@ -144,7 +157,7 @@ TEST(Combined, SeparateGeometriesSupported) {
   dcache.line_bytes = 32;
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const CombinedPwcetAnalyzer a(p, icache, dcache, options);
+  const PwcetPipeline a(p, i_d_domains(icache, dcache), options);
   const auto r = a.analyze(FaultModel(1e-4), Mechanism::kNone);
   EXPECT_GE(r.pwcet(1e-15), a.fault_free_wcet());
   EXPECT_NEAR(r.penalty.total_mass(), 1.0, 1e-6);
@@ -157,8 +170,8 @@ TEST(Combined, IlpAndTreeEnginesAgree) {
   tree_opts.engine = WcetEngine::kTree;
   PwcetOptions ilp_opts;
   ilp_opts.engine = WcetEngine::kIlp;
-  const CombinedPwcetAnalyzer via_tree(p, cache, cache, tree_opts);
-  const CombinedPwcetAnalyzer via_ilp(p, cache, cache, ilp_opts);
+  const PwcetPipeline via_tree(p, i_d_domains(cache, cache), tree_opts);
+  const PwcetPipeline via_ilp(p, i_d_domains(cache, cache), ilp_opts);
   EXPECT_EQ(via_tree.fault_free_wcet(), via_ilp.fault_free_wcet());
   const FaultModel faults(1e-4);
   EXPECT_EQ(via_tree.analyze(faults, Mechanism::kNone).pwcet(1e-15),

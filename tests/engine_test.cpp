@@ -4,8 +4,11 @@
 // byte).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -344,6 +347,48 @@ TEST(Runner, SimulationNeverExceedsStaticBound) {
   EXPECT_GT(spta.pwcet, 0.0);
   // The static bound must dominate every simulated execution.
   EXPECT_GE(spta.pwcet, sim.observed_max);
+}
+
+TEST(Runner, SptaCellsPersistUnderTheHistoricalResultKeys) {
+  // Every SPTA cell runs on the pipeline the runner composes from the
+  // cell's axes. For the two historical shapes — icache only, and the
+  // write-through I+D pair — the per-result disk artifacts must land on
+  // the keys the pre-pipeline analyzers wrote (the same hex values
+  // analysis_pipeline_test pins on the pipeline directly), so caches
+  // written before keep answering.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("pwcet_runner_keys_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+
+  CacheConfig small_dcache = CacheConfig::paper_default();
+  small_dcache.sets = 8;
+  small_dcache.ways = 2;
+  CampaignSpec spec;
+  spec.tasks = {"fibcall"};
+  spec.geometries = {CacheConfig::paper_default()};
+  spec.pfails = {1e-4};
+  spec.mechanisms = {Mechanism::kSharedReliableBuffer,
+                     Mechanism::kReliableWay};
+  spec.dcaches = {DcacheAxis{}, DcacheAxis{true, small_dcache}};
+  spec.dcache_mechanisms = {DcacheMechanism::kSharedReliableBuffer};
+
+  RunnerOptions options;
+  options.threads = 1;
+  options.store.enabled = true;
+  options.store.artifact_dir = dir;
+  run_campaign(spec, options);
+
+  const fs::path distributions = fs::path(dir) / "distribution";
+  // icache only, SRB.
+  EXPECT_TRUE(
+      fs::exists(distributions / "8942d3694dac48474a8407b5414c1cb9.jsonl"));
+  // I+D, RW on the icache, SRB on the 8x2 write-through dcache.
+  EXPECT_TRUE(
+      fs::exists(distributions / "7e58309b965fdef2b11b38445e742623.jsonl"));
+  fs::remove_all(dir);
 }
 
 TEST(Report, ShapesAreConsistent) {

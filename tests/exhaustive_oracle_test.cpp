@@ -28,7 +28,6 @@
 #include "analysis/writeback_dcache_domain.hpp"
 #include "cache/references.hpp"
 #include "core/pwcet_analyzer.hpp"
-#include "dcache/dcache_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "store/analysis_store.hpp"
@@ -464,7 +463,10 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 64;
-  const CombinedPwcetAnalyzer analyzer(p, ic, dc, options);
+  const PwcetPipeline analyzer(p,
+                               {std::make_shared<const IcacheDomain>(ic),
+                                std::make_shared<const DcacheDomain>(dc)},
+                               options);
 
   // Per-path traces: instruction fetches and data loads.
   std::vector<std::vector<Address>> itraces;
@@ -500,7 +502,7 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
     // Precompute per (path, map) pieces, then combine: the exact time of a
     // chip on a path is icache cycles + dcache misses * miss penalty
     // (loads execute inside already-charged instruction fetches; only
-    // their miss penalties add — dcache/dcache_analysis.hpp).
+    // their miss penalties add — analysis/dcache_domain.hpp).
     std::vector<std::vector<double>> icycles(
         paths.size(), std::vector<double>(imaps.size(), 0.0));
     std::vector<std::vector<double>> dpenalty(
@@ -543,7 +545,7 @@ TEST_P(RandomOracleTest, DcachePwcetDominatesExhaustiveDistribution) {
     }
     const DiscreteDistribution exact = DiscreteDistribution::from_atoms(atoms);
 
-    const PwcetResult result = analyzer.analyze_mixed(faults, imech, dmech);
+    const PwcetResult result = analyzer.analyze(faults, {imech, dmech});
     const DiscreteDistribution analytic =
         result.penalty.shift(result.fault_free_wcet);
     EXPECT_TRUE(analytic.dominates(exact, 1e-9))

@@ -186,6 +186,23 @@ TEST(Distribution, CoalesceIsConservative) {
   }
 }
 
+TEST(Distribution, CoalesceBreaksCostTiesByLowestIndex) {
+  // 64 equally likely, evenly spaced atoms: all 63 merge candidates cost
+  // the same — far more than the 16 below which introsort falls back to
+  // insertion sort, so an unstable ranking would pick an arbitrary subset.
+  // The total order (cost, index) must merge the 24 lowest atoms upward.
+  std::vector<ProbabilityAtom> atoms;
+  for (Cycles v = 0; v < 64; ++v) atoms.push_back({v, 1.0 / 64.0});
+  const auto d = DiscreteDistribution::from_atoms(atoms);
+  const auto c = d.coalesce_up(40);
+  ASSERT_EQ(c.size(), 40u);
+  EXPECT_EQ(c.atoms()[0], (ProbabilityAtom{24, 25.0 / 64.0}));
+  for (std::size_t i = 1; i < c.size(); ++i)
+    EXPECT_EQ(c.atoms()[i],
+              (ProbabilityAtom{static_cast<Cycles>(24 + i), 1.0 / 64.0}))
+        << i;
+}
+
 TEST(Distribution, DominatesIsReflexiveAndDetectsViolation) {
   const auto a = DiscreteDistribution::from_atoms({{1, 0.5}, {10, 0.5}});
   const auto b = DiscreteDistribution::from_atoms({{1, 0.4}, {10, 0.6}});
@@ -338,30 +355,6 @@ TEST(Distribution, ConvolveAdversariallyWideInputs) {
   EXPECT_EQ(fast, reference_convolve(a, b));
   EXPECT_NEAR(fast.total_mass(), 1.0, 1e-9);
   EXPECT_EQ(fast.max_value(), a.max_value() + b.max_value());
-}
-
-TEST(Distribution, ConvolveAllTreeSharedMatchesExpandedTree) {
-  // The deduplicating tree must be bit-identical to convolve_all_tree on
-  // the expanded leaf list, for every leaf multiplicity pattern — odd
-  // counts included (the pass-through leg).
-  Rng rng(0xdedu);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t distinct_count = 1 + rng.next_below(5);
-    std::vector<DiscreteDistribution> distinct;
-    for (std::size_t i = 0; i < distinct_count; ++i)
-      distinct.push_back(random_lattice_distribution(rng, 10, 8));
-    const std::size_t leaves = 1 + rng.next_below(33);
-    std::vector<std::uint32_t> ids;
-    std::vector<DiscreteDistribution> expanded;
-    for (std::size_t s = 0; s < leaves; ++s) {
-      ids.push_back(
-          static_cast<std::uint32_t>(rng.next_below(distinct_count)));
-      expanded.push_back(distinct[ids.back()]);
-    }
-    const std::size_t max_points = 2 + rng.next_below(64);
-    ASSERT_EQ(convolve_all_tree_shared(distinct, ids, max_points),
-              convolve_all_tree(expanded, max_points));
-  }
 }
 
 }  // namespace

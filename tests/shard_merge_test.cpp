@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "engine/runner.hpp"
 #include "engine/shard.hpp"
 #include "engine/spec_io.hpp"
+#include "engine/thread_pool.hpp"
 #include "store/artifact_store.hpp"
 #include "store/merge.hpp"
 
@@ -183,40 +186,71 @@ TEST(ShardFragmentCodec, RejectsForeignSchemaAndRowMiscounts) {
 
 /// Shards share one cache directory (the concurrent-deployment layout);
 /// store on/off alternates with the shard count so both paths cross every
-/// spec. Cold/warm is exercised by a second pass for one spec below.
+/// spec. Cold/warm is exercised by a second pass for one spec below. Every
+/// campaign run is single-threaded and touches only its own variant's
+/// cache directory, so all of them — every spec's reference and every
+/// shard of every variant — run concurrently on one hardware-sized pool;
+/// merges and comparisons stay on the test thread.
 TEST_F(ShardMergeTest, EveryShippedSpecMergesByteIdenticallyForAllCounts) {
-  for (const char* name : kShippedSpecs) {
-    SCOPED_TRACE(name);
-    const SpecDocument doc = load_spec(spec_path(name));
+  const std::size_t kCounts[] = {1, 2, 3, 7};
+  std::vector<SpecDocument> docs;
+  for (const char* name : kShippedSpecs)
+    docs.push_back(load_spec(spec_path(name)));
 
-    RunnerOptions reference_options;
-    reference_options.threads = 1;
-    reference_options.store.enabled = false;
-    const ReportBytes reference =
-        render(run_campaign(doc.spec, reference_options));
+  struct Variant {
+    std::string cache_dir;
+    std::vector<std::future<void>> shards;
+  };
+  struct SpecRuns {
+    std::future<ReportBytes> reference;
+    std::vector<Variant> variants;
+  };
+  // Larger runs first — every reference and unsharded variant, then the
+  // shards by decreasing size — so no long run starts last.
+  ThreadPool pool;
+  std::vector<SpecRuns> runs(docs.size());
+  for (std::size_t d = 0; d < docs.size(); ++d)
+    runs[d].reference = pool.submit([&spec = docs[d].spec] {
+      RunnerOptions reference_options;
+      reference_options.threads = 1;
+      reference_options.store.enabled = false;
+      return render(run_campaign(spec, reference_options));
+    });
+  for (std::size_t c = 0; c < std::size(kCounts); ++c) {
+    const std::size_t count = kCounts[c];
+    const bool with_store = c % 2 == 0;
+    for (std::size_t d = 0; d < docs.size(); ++d) {
+      Variant& v = runs[d].variants.emplace_back();
+      v.cache_dir = subdir(std::string(kShippedSpecs[d]) + "_n" +
+                           std::to_string(count));
+      for (std::size_t i = 0; i < count; ++i)
+        v.shards.push_back(pool.submit([&spec = docs[d].spec, i, count,
+                                        with_store, cache_dir = v.cache_dir] {
+          RunnerOptions options;
+          options.threads = 1;
+          options.store.enabled = with_store;
+          if (with_store) options.store.artifact_dir = cache_dir;
+          run_campaign_shard(spec, ShardSelector{i, count}, options,
+                             cache_dir);
+        }));
+    }
+  }
 
-    std::size_t variant = 0;
-    for (const std::size_t count : {1u, 2u, 3u, 7u}) {
-      SCOPED_TRACE("count=" + std::to_string(count));
-      const std::string cache_dir =
-          subdir(std::string(name) + "_n" + std::to_string(count));
-      const bool with_store = (variant++ % 2) == 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        RunnerOptions options;
-        options.threads = 1;
-        options.store.enabled = with_store;
-        if (with_store) options.store.artifact_dir = cache_dir;
-        run_campaign_shard(doc.spec, ShardSelector{i, count}, options,
-                           cache_dir);
-      }
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    SCOPED_TRACE(kShippedSpecs[d]);
+    const ReportBytes reference = runs[d].reference.get();
+    for (std::size_t c = 0; c < std::size(kCounts); ++c) {
+      SCOPED_TRACE("count=" + std::to_string(kCounts[c]));
+      Variant& v = runs[d].variants[c];
+      for (std::future<void>& shard : v.shards) shard.get();
 
       ShardMergeOptions merge_options;
-      merge_options.from_dirs = {cache_dir};
-      merge_options.into_dir =
-          subdir(std::string(name) + "_n" + std::to_string(count) + "_union");
+      merge_options.from_dirs = {v.cache_dir};
+      merge_options.into_dir = subdir(std::string(kShippedSpecs[d]) + "_n" +
+                                      std::to_string(kCounts[c]) + "_union");
       const ShardMergeOutcome merged =
-          merge_campaign_shards(doc.spec, merge_options);
-      EXPECT_EQ(merged.shard_count, count);
+          merge_campaign_shards(docs[d].spec, merge_options);
+      EXPECT_EQ(merged.shard_count, kCounts[c]);
 
       const ReportBytes rebuilt = render(merged.campaign);
       EXPECT_EQ(reference.scalar, rebuilt.scalar);
@@ -302,17 +336,22 @@ class ShardMergeRejectionTest : public ShardMergeTest {
   std::vector<std::string> run_shards(std::size_t count,
                                       std::size_t skip = SIZE_MAX) {
     doc_ = load_spec(spec_path("pfail_sweep"));
+    // Each shard owns its directory, so the shards run concurrently.
     std::vector<std::string> dirs;
+    std::vector<std::future<void>> shards;
     for (std::size_t i = 0; i < count; ++i) {
       dirs.push_back(subdir("shard" + std::to_string(i)));
       if (i == skip) continue;
-      RunnerOptions options;
-      options.threads = 1;
-      options.store.enabled = true;
-      options.store.artifact_dir = dirs.back();
-      run_campaign_shard(doc_.spec, ShardSelector{i, count}, options,
-                         dirs.back());
+      shards.push_back(std::async(std::launch::async, [this, i, count,
+                                                       dir = dirs.back()] {
+        RunnerOptions options;
+        options.threads = 1;
+        options.store.enabled = true;
+        options.store.artifact_dir = dir;
+        run_campaign_shard(doc_.spec, ShardSelector{i, count}, options, dir);
+      }));
     }
+    for (std::future<void>& shard : shards) shard.get();
     return dirs;
   }
 

@@ -442,7 +442,7 @@ TEST(StoreIdentity, GroupKeyIsContentDerived) {
             campaign_spec_key(identity_spec()));
 
   // A job with the data cache enabled must land in a different analyzer
-  // group: the combined analyzer's memoized core depends on the dcache
+  // group: the I+D pipeline's memoized core depends on the dcache
   // geometry.
   CampaignJob with_dcache = *first;
   with_dcache.dcache.enabled = true;

@@ -3,10 +3,12 @@
 // against the cycle-accurate simulator.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
+#include <algorithm>
+#include <vector>
 
 #include "fault/fault_map.hpp"
+#include "icache/set_analysis.hpp"
+#include "icache/srb_analysis.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -172,28 +174,78 @@ TEST_P(EngineEquivalenceTest, FmmEnginesAgree) {
   }
 }
 
-// Reference equivalence for the FMM signature dedup (wcet/fmm.cpp): with
-// PWCET_FMM_DEDUP=0 every used set computes its own rows; by default sets
-// sharing a canonical reference signature reuse one computation. The
-// bundles must match bitwise for both engines — the dedup is a pure
-// strength reduction, not an approximation, and in particular must not
-// perturb the ILP engine's warm-started simplex trajectory.
+/// Per-set reference for compute_fmm_bundle, without the signature dedup:
+/// every used set builds its own cost models from the public primitives
+/// (SetAnalysis at W and W - f ways, build_delta_miss_model) and maximizes
+/// them in the production objective order — f = 1..W-1, full none, full
+/// SRB — each clamped at zero, then each row made monotone in f. With the
+/// ILP engine the one calculator sees every set's objectives in set order,
+/// so the comparison also pins the warm-started simplex trajectory.
+FmmBundle per_set_fmm_reference(const Program& p, const CacheConfig& c,
+                                const ReferenceMap& refs, WcetEngine engine,
+                                IpetCalculator* ipet) {
+  const ControlFlowGraph& cfg = p.cfg();
+  const SrbHitMap srb_hits = analyze_srb(cfg, refs);
+  auto maximize = [&](const CostModel& model) {
+    const double value = engine == WcetEngine::kIlp
+                             ? ipet->maximize(model).objective
+                             : tree_maximize(p, model);
+    return std::max(0.0, value);
+  };
+  auto make_monotone = [](std::vector<double>& row, std::uint32_t last) {
+    for (std::uint32_t f = 2; f <= last; ++f)
+      row[f] = std::max(row[f], row[f - 1]);
+  };
+  FmmBundle bundle;
+  for (SetIndex s = 0; s < c.sets; ++s) {
+    std::vector<double> none(c.ways + 1, 0.0), rw = none, srb = none;
+    bool used = false;
+    for (const auto& block_refs : refs)
+      for (const LineRef& r : block_refs) used = used || r.set == s;
+    if (used) {
+      const SetAnalysis fault_free(cfg, refs, s, c.ways);
+      for (std::uint32_t f = 1; f < c.ways; ++f) {
+        const SetAnalysis degraded(cfg, refs, s, c.ways - f);
+        none[f] = rw[f] = srb[f] = maximize(build_delta_miss_model(
+            cfg, refs, s, fault_free, &degraded,
+            FullFaultSemantics::kUnprotected, nullptr));
+      }
+      none[c.ways] = maximize(build_delta_miss_model(
+          cfg, refs, s, fault_free, nullptr,
+          FullFaultSemantics::kUnprotected, nullptr));
+      srb[c.ways] = maximize(build_delta_miss_model(
+          cfg, refs, s, fault_free, nullptr, FullFaultSemantics::kSrb,
+          &srb_hits));
+      make_monotone(none, c.ways);
+      make_monotone(rw, c.ways - 1);
+      make_monotone(srb, c.ways);
+    }
+    bundle.none.misses.push_back(std::move(none));
+    bundle.rw.misses.push_back(std::move(rw));
+    bundle.srb.misses.push_back(std::move(srb));
+  }
+  return bundle;
+}
+
+// Reference equivalence for the FMM signature dedup (wcet/fmm.cpp): sets
+// sharing a canonical reference signature reuse one computation, and the
+// bundle must match the per-set reference above bitwise for both engines
+// — the dedup is a pure strength reduction, not an approximation, and in
+// particular must not perturb the ILP engine's warm-started simplex
+// trajectory.
 TEST_P(EngineEquivalenceTest, FmmSignatureDedupIsBitIdentical) {
   const Program p = workloads::build(GetParam());
   const CacheConfig c = CacheConfig::paper_default();
   const auto refs = extract_references(p.cfg(), c);
   for (const WcetEngine engine : {WcetEngine::kTree, WcetEngine::kIlp}) {
-    ::setenv("PWCET_FMM_DEDUP", "0", 1);
     IpetCalculator ipet_reference(p);
-    const FmmBundle reference = compute_fmm_bundle(
+    const FmmBundle reference = per_set_fmm_reference(
         p, c, refs, engine,
         engine == WcetEngine::kIlp ? &ipet_reference : nullptr);
-    ::setenv("PWCET_FMM_DEDUP", "1", 1);
     IpetCalculator ipet_dedup(p);
     const FmmBundle dedup = compute_fmm_bundle(
         p, c, refs, engine,
         engine == WcetEngine::kIlp ? &ipet_dedup : nullptr);
-    ::unsetenv("PWCET_FMM_DEDUP");
     for (SetIndex s = 0; s < c.sets; ++s)
       for (std::uint32_t f = 0; f <= c.ways; ++f) {
         EXPECT_EQ(reference.none.at(s, f), dedup.none.at(s, f))
