@@ -11,9 +11,9 @@
 // The whole trade-off study is one campaign spec, declared in
 // specs/architecture_tradeoff.json; this binary loads it (pass a path as
 // argv[1] to study your own task set/pfail range — no recompile needed),
-// runs it on the pool (PWCET_THREADS workers) and pivots the results into
-// tables. Running `pwcet run specs/architecture_tradeoff.json` produces
-// the byte-identical machine-readable report.
+// runs it on the pool (one worker per hardware thread) and pivots the
+// results into tables. Running `pwcet run specs/architecture_tradeoff.json`
+// produces the byte-identical machine-readable report.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,8 +27,30 @@
 #define PWCET_SPECS_DIR "specs"
 #endif
 
+namespace {
+
+using namespace pwcet;
+
+/// load_spec plus the shape check these tables need: they pivot the
+/// mechanisms axis as exactly {none, SRB, RW} in that order.
+/// \throws SpecError naming the file when the shape differs — such a spec
+/// is still perfectly runnable via `pwcet run`, just not pivotable here.
+SpecDocument load_spec_for_mechanism_tables(const std::string& path) {
+  SpecDocument doc = load_spec(path);
+  if (doc.spec.mechanisms !=
+      std::vector<Mechanism>{Mechanism::kNone,
+                             Mechanism::kSharedReliableBuffer,
+                             Mechanism::kReliableWay})
+    throw SpecError(path +
+                    ": these tables need mechanisms [\"none\", \"SRB\", "
+                    "\"RW\"] in that order; use `pwcet run` for other "
+                    "shapes");
+  return doc;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace pwcet;
   const std::string spec_path =
       argc > 1 ? argv[1] : PWCET_SPECS_DIR "/architecture_tradeoff.json";
 
@@ -52,9 +74,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(srb_bits),
       static_cast<double>(rw_bits) / static_cast<double>(srb_bits));
 
-  RunnerOptions options;
-  options.threads = threads_from_env();
-  const CampaignResult campaign = run_campaign(spec, options);
+  const CampaignResult campaign = run_campaign(spec);
 
   if (spec.geometries.size() > 1 || spec.engines.size() > 1 ||
       spec.kinds.size() > 1)

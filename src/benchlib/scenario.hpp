@@ -48,16 +48,15 @@ struct Scenario {
 /// A fresh set of the built-in scenarios (state captured per call).
 std::vector<Scenario> builtin_scenarios();
 
-/// The geometry-sweep campaign the macro scenarios and the perf bench
-/// measure: 4 tasks x 5 geometries x 1 pfail x 3 mechanisms = 60 jobs,
-/// identical to the grid tracked in BENCH_perf_analysis_time.json.
+/// The geometry-sweep campaign the `campaign.geometry_sweep.*` scenarios
+/// measure: 4 tasks x 5 geometries x 1 pfail x 3 mechanisms = 60 jobs.
 CampaignSpec geometry_sweep_spec();
 
 /// The pfail-sweep campaign (specs/pfail_sweep.json's grid): 6 tasks x
 /// 1 geometry x 7 pfails x 3 mechanisms = 126 jobs. The stress case for
 /// the shared re-weighting bundle — every group holds 7 pfail-siblings
-/// per mechanism — tracked in BENCH_perf_analysis_time.json and gated in
-/// CI via campaign.pfail_sweep.cold.
+/// per mechanism — measured by campaign.pfail_sweep.cold and
+/// campaign.shard_merge, and gated in CI via campaign.pfail_sweep.cold.
 CampaignSpec pfail_sweep_spec();
 
 }  // namespace pwcet::benchlib

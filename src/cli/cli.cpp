@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -180,6 +179,90 @@ std::string geometry_label(const CacheConfig& g) {
          std::to_string(g.line_bytes) + "B";
 }
 
+// ---- report emission (run, merge) -----------------------------------------
+
+/// Where `run` and `merge` send their report: one `--format` on stdout, or
+/// the report files of `--output BASE`.
+struct ReportTarget {
+  std::string format = "csv";
+  bool format_set = false;
+  std::string output;  ///< non-empty: write BASE.* files instead
+};
+
+/// Takes one `--format` value. False (after a diagnostic) when it names
+/// no report format.
+bool parse_format(const std::string& value, ReportTarget& target,
+                  std::ostream& err) {
+  if (value != "csv" && value != "jsonl" && value != "table" &&
+      value != "dist-csv" && value != "dist-jsonl" && value != "dist-table") {
+    err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
+           "dist-table, got '"
+        << value << "'\n";
+    return false;
+  }
+  target.format = value;
+  target.format_set = true;
+  return true;
+}
+
+/// False (after a diagnostic) when both `--format` and `--output` were
+/// given.
+bool check_report_flags(const ReportTarget& target, std::ostream& err) {
+  if (!target.format_set || target.output.empty()) return true;
+  err << "pwcet: --format and --output are mutually exclusive (--output "
+         "always writes BASE.csv and BASE.jsonl)\n";
+  return false;
+}
+
+/// False (after a diagnostic) when a dist-* format asks for the
+/// distribution sink of a spec that has none.
+bool report_fits_spec(const ReportTarget& target, const CampaignSpec& spec,
+                      std::ostream& err) {
+  if (target.format.rfind("dist-", 0) != 0 || !spec.ccdf_exceedances.empty())
+    return true;
+  err << "pwcet: --format " << target.format << " needs a spec with "
+      << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
+  return false;
+}
+
+/// Writes the report files or prints the selected report on `out`. False
+/// (after a diagnostic) when the files cannot be written.
+bool emit_report(const ReportTarget& target, const CampaignResult& campaign,
+                 std::ostream& out, std::ostream& err) {
+  const std::string& format = target.format;
+  if (!target.output.empty()) {
+    if (write_report_files(campaign, target.output)) return true;
+    err << "pwcet: failed to write " << target.output << ".{csv,jsonl}\n";
+    return false;
+  }
+  if (format == "csv") {
+    out << report_csv(campaign);
+  } else if (format == "jsonl") {
+    out << report_jsonl(campaign);
+  } else if (format == "table") {
+    out << report_table(campaign).to_string();
+  } else if (format == "dist-csv") {
+    out << report_dist_csv(campaign);
+  } else if (format == "dist-jsonl") {
+    out << report_dist_jsonl(campaign);
+  } else {
+    out << report_dist_table(campaign).to_string();
+  }
+  return true;
+}
+
+/// Names the report files on stderr (nothing when the report went to
+/// stdout).
+void note_written(const ReportTarget& target, const CampaignSpec& spec,
+                  std::ostream& err) {
+  if (target.output.empty()) return;
+  err << "wrote " << target.output << ".csv and " << target.output
+      << ".jsonl";
+  if (!spec.ccdf_exceedances.empty())
+    err << " (+ " << target.output << ".dist.{csv,jsonl})";
+  err << "\n";
+}
+
 // ---- pwcet run ------------------------------------------------------------
 
 /// Arms the process-wide tracer/metrics for one run and guarantees both
@@ -251,9 +334,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   }
 
   RunnerOptions options;
-  std::string format = "csv";
-  bool format_set = false;
-  std::string output;
+  ReportTarget target;
   std::string trace_out;
   std::string metrics_out;
   bool profile = false;
@@ -261,8 +342,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   bool progress_force = false;
   ShardSelector shard;       // {0, 1} = the whole campaign
   bool shard_given = false;  // --shard 1/1 still writes its fragment
-  enum class StoreFlag { kDefault, kOn, kOff };
-  StoreFlag store_flag = StoreFlag::kDefault;  // last --store wins
   for (const Flag& flag : flags) {
     if (flag.name == "--threads") {
       if (!parse_threads(flag.value, options.threads, err)) return 2;
@@ -274,10 +353,8 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       }
       shard_given = true;
     } else if (flag.name == "--store") {
-      if (flag.value == "on") {
-        store_flag = StoreFlag::kOn;
-      } else if (flag.value == "off") {
-        store_flag = StoreFlag::kOff;
+      if (flag.value == "on" || flag.value == "off") {
+        options.store.enabled = flag.value == "on";  // last --store wins
       } else {
         err << "pwcet: --store wants on|off, got '" << flag.value << "'\n";
         return 2;
@@ -285,18 +362,9 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     } else if (flag.name == "--cache-dir") {
       options.store.artifact_dir = flag.value;
     } else if (flag.name == "--format") {
-      if (flag.value != "csv" && flag.value != "jsonl" &&
-          flag.value != "table" && flag.value != "dist-csv" &&
-          flag.value != "dist-jsonl" && flag.value != "dist-table") {
-        err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
-               "dist-table, got '"
-            << flag.value << "'\n";
-        return 2;
-      }
-      format = flag.value;
-      format_set = true;
+      if (!parse_format(flag.value, target, err)) return 2;
     } else if (flag.name == "--output") {
-      output = flag.value;
+      target.output = flag.value;
     } else if (flag.name == "--trace-out") {
       trace_out = flag.value;
     } else if (flag.name == "--metrics-out") {
@@ -320,11 +388,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
       return 2;
     }
   }
-  if (format_set && !output.empty()) {
-    err << "pwcet: --format and --output are mutually exclusive (--output "
-           "always writes BASE.csv and BASE.jsonl)\n";
-    return 2;
-  }
+  if (!check_report_flags(target, err)) return 2;
 
   // Oversubscription warning: more workers than hardware threads never
   // helps this workload (pure CPU, no blocking I/O) — the committed bench
@@ -335,30 +399,6 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     err << "pwcet: warning: --threads " << options.threads
         << " oversubscribes the " << hardware
         << " hardware thread(s); expect a slowdown, not a speedup\n";
-
-  // An explicit `--store on` must win over a PWCET_STORE=0 left in the
-  // environment (that knob exists to drive the spec-less bench binaries).
-  // run_campaign applies the env override only when it constructs the
-  // store itself, so build one here and hand it over — after the usual
-  // env pass, so a PWCET_CACHE_DIR fallback still applies.
-  std::unique_ptr<AnalysisStore> forced_store;
-  if (store_flag == StoreFlag::kOff) {
-    options.store.enabled = false;  // env can only disable further
-  } else if (store_flag == StoreFlag::kOn) {
-    StoreOptions store_options = options.store;
-    store_options.enabled = true;
-    // The PWCET_CACHE_DIR fallback is applied by hand rather than via
-    // store_options_from_env: that helper skips the fallback whenever
-    // PWCET_STORE=0 disabled the store first — exactly the case the
-    // explicit flag is overriding here.
-    if (store_options.artifact_dir.empty()) {
-      const char* env_dir = std::getenv("PWCET_CACHE_DIR");
-      if (env_dir != nullptr && *env_dir != '\0')
-        store_options.artifact_dir = env_dir;
-    }
-    forced_store = std::make_unique<AnalysisStore>(store_options);
-    options.shared_store = forced_store.get();
-  }
 
   // A shard run must land its fragment artifact somewhere `pwcet merge`
   // can find it; the memo store being off (--store off) does not lift
@@ -375,11 +415,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
   }
 
   const SpecDocument doc = load_spec(positionals[0]);
-  if (format.rfind("dist-", 0) == 0 && doc.spec.ccdf_exceedances.empty()) {
-    err << "pwcet: --format " << format << " needs a spec with "
-        << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
-    return 1;
-  }
+  if (!report_fits_spec(target, doc.spec, err)) return 1;
 
   // Observability is armed only for this run and disarmed on every exit
   // path; the report below is byte-identical either way (observation-only
@@ -424,24 +460,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
     return 1;
   }
 
-  if (!output.empty()) {
-    if (!write_report_files(campaign, output)) {
-      err << "pwcet: failed to write " << output << ".{csv,jsonl}\n";
-      return 1;
-    }
-  } else if (format == "csv") {
-    out << report_csv(campaign);
-  } else if (format == "jsonl") {
-    out << report_jsonl(campaign);
-  } else if (format == "table") {
-    out << report_table(campaign).to_string();
-  } else if (format == "dist-csv") {
-    out << report_dist_csv(campaign);
-  } else if (format == "dist-jsonl") {
-    out << report_dist_jsonl(campaign);
-  } else {
-    out << report_dist_table(campaign).to_string();
-  }
+  if (!emit_report(target, campaign, out, err)) return 1;
 
   // Progress summary on stderr so stdout stays byte-clean for diffing.
   if (shard_given)
@@ -464,12 +483,7 @@ int cmd_run(const std::vector<std::string>& args, std::ostream& out,
         << campaign.store_stats.disk_writes << " writes";
   err << "]\n";
   if (profile) render_profile(err);
-  if (!output.empty()) {
-    err << "wrote " << output << ".csv and " << output << ".jsonl";
-    if (!doc.spec.ccdf_exceedances.empty())
-      err << " (+ " << output << ".dist.{csv,jsonl})";
-    err << "\n";
-  }
+  note_written(target, doc.spec, err);
   return 0;
 }
 
@@ -486,9 +500,7 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
   }
 
   ShardMergeOptions merge_options;
-  std::string format = "csv";
-  bool format_set = false;
-  std::string output;
+  ReportTarget target;
   for (const Flag& flag : flags) {
     if (flag.name == "--from") {
       // Repeatable, and each occurrence may carry a comma-separated list
@@ -509,40 +521,23 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
     } else if (flag.name == "--shards") {
       if (!parse_shard_count(flag, merge_options.shard_count, err)) return 2;
     } else if (flag.name == "--format") {
-      if (flag.value != "csv" && flag.value != "jsonl" &&
-          flag.value != "table" && flag.value != "dist-csv" &&
-          flag.value != "dist-jsonl" && flag.value != "dist-table") {
-        err << "pwcet: --format wants csv|jsonl|table|dist-csv|dist-jsonl|"
-               "dist-table, got '"
-            << flag.value << "'\n";
-        return 2;
-      }
-      format = flag.value;
-      format_set = true;
+      if (!parse_format(flag.value, target, err)) return 2;
     } else if (flag.name == "--output") {
-      output = flag.value;
+      target.output = flag.value;
     } else {
       err << "pwcet: unknown option '" << flag.name << "' for merge\n"
           << kUsage;
       return 2;
     }
   }
-  if (format_set && !output.empty()) {
-    err << "pwcet: --format and --output are mutually exclusive (--output "
-           "always writes BASE.csv and BASE.jsonl)\n";
-    return 2;
-  }
+  if (!check_report_flags(target, err)) return 2;
   if (merge_options.from_dirs.empty()) {
     err << "pwcet: merge wants at least one --from directory\n";
     return 2;
   }
 
   const SpecDocument doc = load_spec(positionals[0]);
-  if (format.rfind("dist-", 0) == 0 && doc.spec.ccdf_exceedances.empty()) {
-    err << "pwcet: --format " << format << " needs a spec with "
-        << "\"ccdf_exceedances\" (this one has no distribution sink)\n";
-    return 1;
-  }
+  if (!report_fits_spec(target, doc.spec, err)) return 1;
 
   ShardMergeOutcome merged;
   try {
@@ -553,24 +548,7 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
   }
   const CampaignResult& campaign = merged.campaign;
 
-  if (!output.empty()) {
-    if (!write_report_files(campaign, output)) {
-      err << "pwcet: failed to write " << output << ".{csv,jsonl}\n";
-      return 1;
-    }
-  } else if (format == "csv") {
-    out << report_csv(campaign);
-  } else if (format == "jsonl") {
-    out << report_jsonl(campaign);
-  } else if (format == "table") {
-    out << report_table(campaign).to_string();
-  } else if (format == "dist-csv") {
-    out << report_dist_csv(campaign);
-  } else if (format == "dist-jsonl") {
-    out << report_dist_jsonl(campaign);
-  } else {
-    out << report_dist_table(campaign).to_string();
-  }
+  if (!emit_report(target, campaign, out, err)) return 1;
 
   // Same stderr/stdout split as run: the summary never lands in the report.
   err << "[merged " << merged.shard_count << " shards: "
@@ -580,12 +558,7 @@ int cmd_merge(const std::vector<std::string>& args, std::ostream& out,
         << merged.artifacts_copied << " copied / "
         << merged.artifacts_identical << " identical";
   err << "]\n";
-  if (!output.empty()) {
-    err << "wrote " << output << ".csv and " << output << ".jsonl";
-    if (!doc.spec.ccdf_exceedances.empty())
-      err << " (+ " << output << ".dist.{csv,jsonl})";
-    err << "\n";
-  }
+  note_written(target, doc.spec, err);
   return 0;
 }
 
@@ -632,15 +605,9 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
     out << "distribution sink: " << spec.ccdf_exceedances.size()
         << " exceedance points per job\n";
   out << "spec key: " << campaign_spec_key(spec).hex() << "\n";
-  // Capacity line (and an oversubscription warning when PWCET_THREADS
-  // overrides past it) so a reader of `describe` can budget a run.
-  const unsigned hardware = std::thread::hardware_concurrency();
-  out << "hardware threads: " << hardware << "\n\n";
-  const std::size_t env_threads = threads_from_env();
-  if (hardware != 0 && env_threads > hardware)
-    err << "pwcet: warning: PWCET_THREADS=" << env_threads
-        << " oversubscribes the " << hardware
-        << " hardware thread(s); expect a slowdown, not a speedup\n";
+  // Capacity line so a reader of `describe` can budget a run.
+  out << "hardware threads: " << std::thread::hardware_concurrency()
+      << "\n\n";
 
   // Each cache-domain axis gets its own geometry column so a grid mixing
   // TLB and L2 cells stays readable: the dcache label carries a "-wb<N>"

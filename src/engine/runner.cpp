@@ -150,7 +150,7 @@ struct SlackStats {
   std::uint64_t sim_misses_1 = 0, bound_misses_1 = 0;
 };
 
-/// The E5 conservatism oracle (bench/tab_srb_conservatism.cpp's two
+/// The E5 conservatism oracle (specs/srb_conservatism.json's two
 /// regimes), generalized to the SRB-vs-RW pairing:
 ///
 ///  * SRB — with a fully faulty set every fetch goes through the SRB; the
@@ -510,20 +510,6 @@ bool parse_thread_count(const std::string& text, std::size_t& threads) {
     return false;
   threads = static_cast<std::size_t>(value);
   return true;
-}
-
-std::size_t threads_from_env() {
-  const char* env = std::getenv("PWCET_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  std::size_t threads = 0;
-  if (!parse_thread_count(env, threads)) {
-    std::fprintf(stderr,
-                 "pwcet: ignoring PWCET_THREADS='%s' (want 0..%zu); using "
-                 "hardware default\n",
-                 env, kMaxCampaignThreads);
-    return 0;
-  }
-  return threads;
 }
 
 }  // namespace pwcet

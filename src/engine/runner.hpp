@@ -54,13 +54,14 @@ struct RunnerOptions {
   /// Content-addressed store configuration (store/analysis_store.hpp).
   /// Enabled by default: grid jobs sharing sub-problems (same core across
   /// pfail values, same FMM rows across mechanisms) reuse each other's
-  /// results, byte-identically. The runner applies environment overrides
-  /// (PWCET_STORE=0 disables, PWCET_CACHE_DIR enables the disk tier) via
-  /// store_options_from_env before constructing the store.
+  /// results, byte-identically. The runner applies the PWCET_CACHE_DIR
+  /// fallback for the disk tier via store_options_from_env before
+  /// constructing the store.
   StoreOptions store;
   /// Reuse a caller-owned store instead of constructing one from `store`
-  /// — this is how warm re-runs are measured (bench/perf_analysis_time)
-  /// and how long-lived services would share a cache across campaigns.
+  /// — this is how warm re-runs are measured (the `campaign.*.warm`
+  /// bench scenarios) and how long-lived services would share a cache
+  /// across campaigns.
   AnalysisStore* shared_store = nullptr;
   /// Which shard of the campaign to execute. {0, 1} (the default) runs
   /// everything. A proper shard runs only the analyzer groups its
@@ -95,7 +96,7 @@ struct JobResult {
 
   // Slack (kind kSlack) fields: static-vs-simulated miss bounds on the
   // worst structural path, in the all-sets-faulty regime and with only
-  // set 0 degraded (bench/tab_srb_conservatism.cpp's two tables).
+  // set 0 degraded (specs/srb_conservatism.json's two regimes).
   std::uint64_t fetches = 0;        ///< simulated fetches (all-faulty run)
   std::uint64_t srb_hits = 0;       ///< SRB hits (spatial locality credit)
   std::uint64_t sim_misses = 0;     ///< simulated misses, all sets faulty
@@ -136,18 +137,13 @@ struct CampaignResult {
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerOptions& options = {});
 
-/// Upper bound accepted for explicit worker-thread counts (PWCET_THREADS,
-/// the CLI's --threads) — far beyond any host, it only guards against
-/// unparsed garbage asking the pool for ~2^64 workers.
+/// Upper bound accepted for explicit worker-thread counts (the CLI's
+/// --threads) — far beyond any host, it only guards against unparsed
+/// garbage asking the pool for ~2^64 workers.
 inline constexpr std::size_t kMaxCampaignThreads = 256;
 
 /// Parses an explicit worker-thread count in 0..kMaxCampaignThreads
-/// (0 = one per hardware thread); false on any other input. Shared by
-/// threads_from_env and the CLI so the two cannot drift.
+/// (0 = one per hardware thread); false on any other input.
 bool parse_thread_count(const std::string& text, std::size_t& threads);
-
-/// Worker-thread count for benches: PWCET_THREADS if set, else 0 (= one
-/// per hardware thread).
-std::size_t threads_from_env();
 
 }  // namespace pwcet

@@ -780,19 +780,6 @@ SpecDocument load_spec(const std::string& path) {
   return parse_spec(buffer.str(), path);
 }
 
-SpecDocument load_spec_for_mechanism_tables(const std::string& path) {
-  SpecDocument doc = load_spec(path);
-  if (doc.spec.mechanisms !=
-      std::vector<Mechanism>{Mechanism::kNone,
-                             Mechanism::kSharedReliableBuffer,
-                             Mechanism::kReliableWay})
-    throw SpecError(path +
-                    ": these tables need mechanisms [\"none\", \"SRB\", "
-                    "\"RW\"] in that order; use `pwcet run` for other "
-                    "shapes");
-  return doc;
-}
-
 std::string spec_to_json(const CampaignSpec& spec, const std::string& name,
                          const std::string& notes) {
   std::string out = "{\n";

@@ -51,14 +51,6 @@ SpecDocument parse_spec(const std::string& text, const std::string& source);
 /// \throws SpecError if the file cannot be read or does not parse.
 SpecDocument load_spec(const std::string& path);
 
-/// load_spec plus a shape check shared by the shipped presentation
-/// binaries (bench/tab_geometry_sweep, bench/tab_pfail_sweep,
-/// examples/architecture_tradeoff), whose tables pivot the mechanisms axis
-/// as exactly {none, SRB, RW} in that order.
-/// \throws SpecError naming the file when the shape differs — such a spec
-/// is still perfectly runnable via `pwcet run`, just not pivotable here.
-SpecDocument load_spec_for_mechanism_tables(const std::string& path);
-
 /// Serializes a spec to canonical JSON (2-space indent, fixed key order,
 /// doubles in their shortest decimal form that still round-trips
 /// bit-exactly). `name` and `notes` are emitted only when non-empty.

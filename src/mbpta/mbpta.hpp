@@ -5,8 +5,8 @@
 // execute the task's worst structural path on each chip's cache simulator,
 // and fit an extreme-value tail to the observed execution times. The
 // resulting pWCET estimate is *not* guaranteed conservative — which is
-// precisely the paper's argument for static analysis; the comparison bench
-// (tab_mbpta_vs_spta) puts the two side by side.
+// precisely the paper's argument for static analysis; the comparison
+// campaign (specs/mbpta_vs_spta.json) puts the two side by side.
 #pragma once
 
 #include <cstdint>

@@ -22,9 +22,12 @@ constexpr Probability kMassTolerance = 1e-9;
 /// array to pay off — convolution falls back to the streaming k-way merge.
 constexpr std::uint64_t kDenseBucketCap = std::uint64_t{1} << 22;
 
+/// Sorts by value and merges equal values. The sort is stable so tied
+/// atoms sum in input order: the merged probabilities are a function of
+/// the input, not of how an unstable sort happens to permute the ties.
 std::vector<ProbabilityAtom> normalize_atoms(
     std::vector<ProbabilityAtom> atoms) {
-  std::sort(atoms.begin(), atoms.end(),
+  std::stable_sort(atoms.begin(), atoms.end(),
             [](const ProbabilityAtom& a, const ProbabilityAtom& b) {
               return a.value < b.value;
             });

@@ -3,9 +3,9 @@
 /// campaign engine.
 ///
 /// One AnalysisStore instance serves a whole campaign (and, if the caller
-/// keeps it alive, any number of campaigns — that is how warm re-runs are
-/// measured in bench/perf_analysis_time.cpp). All methods are thread-safe;
-/// pool workers use the store concurrently.
+/// keeps it alive, any number of campaigns — that is how the warm
+/// `campaign.*` bench scenarios measure re-runs). All methods are
+/// thread-safe; pool workers use the store concurrently.
 ///
 /// Determinism: the store only ever returns bits some earlier invocation
 /// of the *same deterministic computation on the same inputs* produced, so
@@ -32,11 +32,9 @@ struct StoreOptions {
   std::string artifact_dir;
 };
 
-/// Environment overrides, applied by run_campaign so the stock bench and
-/// example binaries can be driven cold/warm without code changes:
-/// `PWCET_STORE=0` disables the store, `PWCET_CACHE_DIR=<dir>` enables the
-/// artifact tier (only when `base` did not already name a directory).
-/// An explicitly disabled `base` stays disabled regardless of environment.
+/// Deployment fallback, applied by run_campaign: `PWCET_CACHE_DIR=<dir>`
+/// enables the artifact tier of an enabled store whose `base` did not
+/// already name a directory. A disabled `base` is returned unchanged.
 StoreOptions store_options_from_env(StoreOptions base = {});
 
 class AnalysisStore {

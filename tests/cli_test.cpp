@@ -145,33 +145,6 @@ TEST_F(CliTest, RunWithOutputWritesTheExampleBinaryReportFiles) {
   EXPECT_EQ(read_file(base + ".jsonl"), report_jsonl(reference));
 }
 
-TEST_F(CliTest, ExplicitStoreOnBeatsPwcetStoreEnvironment) {
-  const std::string spec_path = tiny_spec_path();
-  const char* saved = std::getenv("PWCET_STORE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::setenv("PWCET_STORE", "0", 1);
-  const CliResult with_flag = run_cli({"run", spec_path, "--store", "on"});
-  const CliResult defaulted = run_cli({"run", spec_path});
-  if (saved != nullptr) {
-    ::setenv("PWCET_STORE", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("PWCET_STORE");
-  }
-  ASSERT_EQ(with_flag.code, 0) << with_flag.err;
-  ASSERT_EQ(defaulted.code, 0) << defaulted.err;
-  // The env knob disables the default store (it exists to drive the
-  // spec-less bench binaries)...
-  EXPECT_NE(defaulted.err.find("store: 0 hits / 0 misses"),
-            std::string::npos)
-      << defaulted.err;
-  // ...but an explicit --store on wins over it.
-  EXPECT_EQ(with_flag.err.find("store: 0 hits / 0 misses"),
-            std::string::npos)
-      << with_flag.err;
-  // Byte-identity holds either way.
-  EXPECT_EQ(with_flag.out, defaulted.out);
-}
-
 TEST_F(CliTest, LastStoreFlagWins) {
   const std::string spec_path = tiny_spec_path();
   const CliResult result =

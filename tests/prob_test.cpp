@@ -86,6 +86,21 @@ TEST(Distribution, FromAtomsMergesAndSorts) {
   EXPECT_DOUBLE_EQ(d.atoms()[1].probability, 0.5);
 }
 
+TEST(Distribution, FromAtomsSumsTiedValuesInInputOrder) {
+  // 17 atoms on one value — a 16-way pwf has ways + 1 = 17 — are more than
+  // the 16 below which introsort falls back to insertion sort, so an
+  // unstable sort permutes the ties and the merged sum moves in its last
+  // bits. The merge must add the probabilities in input order.
+  std::vector<ProbabilityAtom> atoms;
+  for (int i = 1; i <= 17; ++i) atoms.push_back({7, i / 153.0});
+  Probability input_order = atoms[0].probability;
+  for (std::size_t i = 1; i < atoms.size(); ++i)
+    input_order += atoms[i].probability;
+  const auto d = DiscreteDistribution::from_atoms(atoms);
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d.atoms()[0], (ProbabilityAtom{7, input_order}));
+}
+
 TEST(Distribution, DropsZeroProbabilityAtoms) {
   const auto d =
       DiscreteDistribution::from_atoms({{1, 1.0}, {7, 0.0}});

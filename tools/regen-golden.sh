@@ -26,7 +26,6 @@ for spec in "$repo_root"/specs/*.json; do
   stem=$(basename "$spec" .json)
   # Store off: golden bytes must come from a clean recomputation, not from
   # whatever cache directory the environment points at.
-  PWCET_STORE=0 PWCET_CACHE_DIR= "$pwcet" run "$spec" \
-      --output "$repo_root/tests/golden/$stem"
+  "$pwcet" run "$spec" --store off --output "$repo_root/tests/golden/$stem"
   echo "regenerated tests/golden/$stem"
 done
