@@ -3,11 +3,13 @@
 // Shows the full workflow a downstream user follows: describe the task
 // with the structured builder (sizes, loop bounds, calls — everything a
 // binary decoder would extract), pick a cache, and query the pWCET
-// distribution, including the raw CCDF points (paper Fig. 3) and the
-// fault miss map (paper Fig. 1.a) for one mechanism.
+// distribution at certification exceedance levels and the fault miss map
+// (paper Fig. 1.a) for one mechanism.
 #include <cstdio>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -37,14 +39,15 @@ int main() {
   const FaultModel faults(1e-4);
 
   // --- 3. Analyze -----------------------------------------------------
-  const PwcetAnalyzer analyzer(program, config);
+  const PwcetPipeline pipeline(
+      program, {std::make_shared<const IcacheDomain>(config)});
   std::printf("task %s: %llu bytes of code, fault-free WCET %lld cycles\n\n",
               program.name().c_str(),
               static_cast<unsigned long long>(program.code_size_bytes()),
-              static_cast<long long>(analyzer.fault_free_wcet()));
+              static_cast<long long>(pipeline.fault_free_wcet()));
 
   const PwcetResult result =
-      analyzer.analyze(faults, Mechanism::kSharedReliableBuffer);
+      pipeline.analyze(faults, Mechanism::kSharedReliableBuffer);
 
   // pWCET at certification-relevant exceedance levels.
   TextTable levels({"exceedance", "pWCET (cycles)", "over fault-free"});
@@ -60,15 +63,15 @@ int main() {
 
   // --- 4. Inspect the fault miss map (paper Fig. 1.a) -----------------
   std::printf("fault miss map (misses, rows = sets, cols = faulty ways):\n");
-  TextTable fmm({"set", "f=1", "f=2", "f=3", "f=4"});
+  const FaultMissMap& fmm =
+      pipeline.fmm(0).of(Mechanism::kSharedReliableBuffer);
+  TextTable table({"set", "f=1", "f=2", "f=3", "f=4"});
   for (SetIndex s = 0; s < config.sets; ++s) {
-    fmm.add_row({std::to_string(s),
-                 fmt_double(result.fmm.at(s, 1), 0),
-                 fmt_double(result.fmm.at(s, 2), 0),
-                 fmt_double(result.fmm.at(s, 3), 0),
-                 fmt_double(result.fmm.at(s, 4), 0)});
+    table.add_row({std::to_string(s), fmt_double(fmm.at(s, 1), 0),
+                   fmt_double(fmm.at(s, 2), 0), fmt_double(fmm.at(s, 3), 0),
+                   fmt_double(fmm.at(s, 4), 0)});
   }
-  std::printf("%s", fmm.to_string().c_str());
+  std::printf("%s", table.to_string().c_str());
   std::printf(
       "\nthe f=4 column is what the SRB tames: without it, a fully faulty\n"
       "set costs every fetch a miss rather than one miss per reference.\n");

@@ -8,8 +8,10 @@
 // This is the repository's safety argument made runnable — useful as a
 // template when porting the analysis to a new cache model.
 #include <cstdio>
+#include <memory>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/stats.hpp"
@@ -35,13 +37,14 @@ int main() {
     const Program program = workloads::build(name);
     PwcetOptions options;
     options.engine = WcetEngine::kTree;
-    const PwcetAnalyzer analyzer(program, config, options);
+    const PwcetPipeline pipeline(
+        program, {std::make_shared<const IcacheDomain>(config)}, options);
     const auto trace = fetch_trace(program.cfg(), heavy_walk(program));
 
     for (const Mechanism mech :
          {Mechanism::kNone, Mechanism::kReliableWay,
           Mechanism::kSharedReliableBuffer}) {
-      const FaultMissMap& fmm = analyzer.fmm_bundle().of(mech);
+      const FaultMissMap& fmm = pipeline.fmm(0).of(mech);
       int violations = 0;
       double max_sim = 0.0, max_bound = 0.0, slack_sum = 0.0;
       for (int chip = 0; chip < chips / 10; ++chip) {
@@ -54,7 +57,7 @@ int main() {
           misses += fmm.at(s, f);
         }
         const double bound =
-            static_cast<double>(analyzer.fault_free_wcet()) +
+            static_cast<double>(pipeline.fault_free_wcet()) +
             static_cast<double>(config.miss_penalty) * misses;
         const auto sim = static_cast<double>(stats.cycles);
         violations += (sim > bound) ? 1 : 0;

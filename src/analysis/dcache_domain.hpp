@@ -35,9 +35,6 @@ namespace pwcet {
 ReferenceMap extract_data_references(const ControlFlowGraph& cfg,
                                      const CacheConfig& dcache);
 
-/// Total data accesses recorded for a block.
-std::uint64_t block_loads(const ControlFlowGraph& cfg, BlockId b);
-
 class DcacheDomain final : public CacheDomain {
  public:
   explicit DcacheDomain(const CacheConfig& config) : config_(config) {

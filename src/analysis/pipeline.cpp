@@ -313,13 +313,11 @@ PwcetResult PwcetPipeline::analyze(
   // the store counters already attribute.
   obs::ScopedPhase analyze_phase(obs::phase_name::kAnalyze);
   PwcetResult result;
-  result.mechanism = mechanisms.front();
   result.fault_free_wcet = fault_free_wcet_;
-  result.fmm = fmms_.front().of(mechanisms.front());
 
   // Artifact tier: the penalty distribution (the only expensive part of
-  // the result — the FMM and the fault-free WCET come from the core
-  // layer) may survive from an earlier process.
+  // the result — the fault-free WCET comes from the core layer) may
+  // survive from an earlier process.
   if (store != nullptr && store->artifacts() != nullptr) {
     if (std::optional<DiscreteDistribution> penalty =
             store->artifacts()->load_distribution(result_key)) {
@@ -370,18 +368,6 @@ PwcetResult PwcetPipeline::analyze(
                       std::make_shared<const PwcetResult>(result), "result");
   }
   return result;
-}
-
-std::vector<CcdfPoint> PwcetResult::ccdf() const {
-  std::vector<CcdfPoint> points;
-  points.reserve(penalty.size());
-  for (const ProbabilityAtom& atom : penalty.atoms()) {
-    // P[WCET > fault_free + value] is the tail strictly above the atom;
-    // report the exceedance just below it, i.e. including the atom itself.
-    points.push_back({fault_free_wcet + atom.value,
-                      penalty.exceedance(atom.value - 1)});
-  }
-  return points;
 }
 
 }  // namespace pwcet

@@ -21,9 +21,8 @@
 ///
 /// One domain gives the paper's instruction-cache analysis; [icache,
 /// dcache] gives the combined I+D extension; any further domain composes
-/// the same way. Every SPTA campaign cell runs through this class, and
-/// the single-cache analyzer (core/pwcet_analyzer.hpp) is a thin facade
-/// over it.
+/// the same way. Every SPTA campaign cell runs through this class; the
+/// single-cache analysis is a pipeline over one IcacheDomain.
 ///
 /// Store-key compatibility contract: the pipeline core key of a
 /// single-IcacheDomain composition is the historical "pwcet-core-v1"
@@ -79,18 +78,10 @@ struct PwcetOptions {
   AnalysisStore* store = nullptr;
 };
 
-/// One (exceedance probability, pWCET) point of the CCDF.
-struct CcdfPoint {
-  Cycles wcet = 0;
-  Probability exceedance = 0.0;
-};
-
 /// Full result of one mechanism assignment.
 struct PwcetResult {
-  Mechanism mechanism = Mechanism::kNone;  ///< primary domain's mechanism
   Cycles fault_free_wcet = 0;
   DiscreteDistribution penalty;  ///< fault-induced penalty (cycles)
-  FaultMissMap fmm;              ///< primary domain's FMM for `mechanism`
 
   /// pWCET at exceedance probability p: the value the WCET random variable
   /// exceeds with probability at most p (e.g. p = 1e-15 for Fig. 4).
@@ -102,9 +93,6 @@ struct PwcetResult {
   Probability exceedance(Cycles wcet) const {
     return penalty.exceedance(wcet - fault_free_wcet);
   }
-
-  /// The CCDF as explicit points (one per penalty support atom).
-  std::vector<CcdfPoint> ccdf() const;
 };
 
 /// Penalty distribution of one domain under one mechanism's FMM: one

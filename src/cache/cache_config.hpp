@@ -21,10 +21,6 @@ struct CacheConfig {
   /// Paper default: 1 KB, 4-way, 16 B lines, 1-cycle hit, 100-cycle miss.
   static CacheConfig paper_default() { return CacheConfig{}; }
 
-  std::uint64_t size_bytes() const {
-    return std::uint64_t{sets} * ways * line_bytes;
-  }
-
   /// K of Eq. (1): bits per cache block.
   std::uint32_t block_bits() const { return line_bytes * 8; }
 
@@ -33,8 +29,6 @@ struct CacheConfig {
   SetIndex set_of_line(LineAddress line) const {
     return static_cast<SetIndex>(line % sets);
   }
-
-  SetIndex set_of(Address a) const { return set_of_line(line_of(a)); }
 
   void validate() const {
     PWCET_EXPECTS(sets > 0 && ways > 0 && line_bytes > 0);

@@ -39,11 +39,6 @@ struct BasicBlock {
   std::vector<Address> store_addresses;
   std::vector<EdgeId> out_edges;
   std::vector<EdgeId> in_edges;
-
-  /// One-past-the-end fetch address.
-  Address end_address() const {
-    return first_address + instruction_count * kInstructionBytes;
-  }
 };
 
 /// A directed control-flow edge.

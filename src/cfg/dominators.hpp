@@ -17,9 +17,6 @@ class DominatorTree {
  public:
   explicit DominatorTree(const ControlFlowGraph& cfg);
 
-  /// Immediate dominator; the entry block is its own idom.
-  BlockId idom(BlockId b) const { return idom_[size_t(b)]; }
-
   /// True if `a` dominates `b` (reflexive).
   bool dominates(BlockId a, BlockId b) const;
 

@@ -414,7 +414,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       PwcetOptions popts;
       popts.engine = first.engine;
       popts.max_distribution_points = spec.max_distribution_points;
-      popts.pool = options.parallel_sets ? &pool : nullptr;
+      popts.pool = &pool;
       popts.store = store;
 
       for (const std::size_t index : *members) {

@@ -49,8 +49,6 @@ struct ShardSelector {
 struct RunnerOptions {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
-  /// Also fan the per-set work inside each analysis onto the pool.
-  bool parallel_sets = true;
   /// Content-addressed store configuration (store/analysis_store.hpp).
   /// Enabled by default: grid jobs sharing sub-problems (same core across
   /// pfail values, same FMM rows across mechanisms) reuse each other's

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -13,41 +12,29 @@
 #include "engine/report.hpp"
 #include "store/artifact_store.hpp"
 #include "store/merge.hpp"
+#include "support/json_doc.hpp"
 
 namespace pwcet {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Parses one non-negative integer field ("name":123) out of a JSON meta
-/// line rendered by this file; false when absent or malformed.
-bool json_u64_field(const std::string& line, const char* name,
-                    std::uint64_t& out) {
-  std::string needle = "\"";
-  needle += name;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  unsigned long long value = 0;
-  if (std::sscanf(line.c_str() + at + needle.size(), "%llu", &value) != 1)
-    return false;
-  out = value;
+/// Member `name` of the parsed meta line as a plain non-negative integer
+/// that fits 64 bits; false when absent or of any other shape (negative,
+/// fractional, a string).
+bool meta_u64(const Json& meta, const char* name, std::uint64_t& out) {
+  const Json* value = meta.find(name);
+  if (value == nullptr || !value->integral) return false;
+  out = value->integer;
   return true;
 }
 
-/// Parses a string field ("name":"...") — values rendered by this file
-/// never contain escapes, so scanning to the closing quote is exact.
-bool json_string_field(const std::string& line, const char* name,
-                       std::string& out) {
-  std::string needle = "\"";
-  needle += name;
-  needle += "\":\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  out = line.substr(begin, end - begin);
+/// Member `name` of the parsed meta line as a string; false when absent or
+/// not a string.
+bool meta_string(const Json& meta, const char* name, std::string& out) {
+  const Json* value = meta.find(name);
+  if (value == nullptr || value->type != Json::Type::kString) return false;
+  out = value->string;
   return true;
 }
 
@@ -71,9 +58,12 @@ std::string render_slot_ranges(const std::vector<std::size_t>& slots) {
   return out;
 }
 
-/// Inverse of render_slot_ranges; false on malformed text or a sequence
-/// that is not strictly ascending.
-bool parse_slot_ranges(const std::string& text,
+/// Inverse of render_slot_ranges; false on malformed text, a sequence
+/// that is not strictly ascending, a slot >= `jobs`, or more than
+/// `max_slots` slots. Each range is checked before it is expanded, so a
+/// claimed range cannot allocate past either bound.
+bool parse_slot_ranges(const std::string& text, std::uint64_t jobs,
+                       std::uint64_t max_slots,
                        std::vector<std::size_t>& slots) {
   slots.clear();
   if (text.empty()) return true;  // an empty shard covers no slots
@@ -90,6 +80,8 @@ bool parse_slot_ranges(const std::string& text,
     } else {
       return false;
     }
+    if (last >= jobs || last - first >= max_slots - slots.size())
+      return false;
     if (!slots.empty() && first <= slots.back()) return false;
     for (unsigned long long s = first; s <= last; ++s)
       slots.push_back(static_cast<std::size_t>(s));
@@ -271,25 +263,29 @@ std::string render_shard_fragment(const ShardFragment& fragment) {
 
 bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
                           std::string& error) {
-  const std::size_t meta_end = payload.find('\n');
-  const std::string meta = payload.substr(
-      0, meta_end == std::string::npos ? payload.size() : meta_end);
-  const std::string expected_prefix =
-      std::string("{\"schema\":\"") + kShardFragmentSchema + "\",";
-  if (meta.rfind(expected_prefix, 0) != 0) {
+  Json meta;
+  try {
+    meta = parse_json(payload.substr(0, payload.find('\n')),
+                      "fragment meta line");
+  } catch (const JsonParseError& e) {
+    error = e.what();  // "fragment meta line:1: <problem>"
+    return false;
+  }
+  std::string schema;
+  if (!meta_string(meta, "schema", schema) ||
+      schema != kShardFragmentSchema) {
     error = "unrecognized fragment schema (want " +
             std::string(kShardFragmentSchema) + ")";
     return false;
   }
   std::uint64_t shard_1based = 0, count = 0, jobs = 0, points = 0;
   std::string slots_text;
-  if (!json_string_field(meta, "spec_key", fragment.spec_key) ||
+  if (!meta_string(meta, "spec_key", fragment.spec_key) ||
       fragment.spec_key.size() != 32 ||
-      !json_u64_field(meta, "shard", shard_1based) ||
-      !json_u64_field(meta, "of", count) ||
-      !json_u64_field(meta, "jobs", jobs) ||
-      !json_u64_field(meta, "points", points) ||
-      !json_string_field(meta, "slots", slots_text)) {
+      !meta_u64(meta, "shard", shard_1based) ||
+      !meta_u64(meta, "of", count) || !meta_u64(meta, "jobs", jobs) ||
+      !meta_u64(meta, "points", points) ||
+      !meta_string(meta, "slots", slots_text)) {
     error = "malformed fragment meta line";
     return false;
   }
@@ -303,23 +299,25 @@ bool parse_shard_fragment(const std::string& payload, ShardFragment& fragment,
   fragment.count = static_cast<std::size_t>(count);
   fragment.job_count = static_cast<std::size_t>(jobs);
   fragment.curve_points = static_cast<std::size_t>(points);
-  if (!parse_slot_ranges(slots_text, fragment.slots) ||
-      (!fragment.slots.empty() &&
-       fragment.slots.back() >= fragment.job_count)) {
+  // Every covered slot owns one report row, so the payload's line count
+  // bounds the slot count whatever job count the meta line claims.
+  const auto lines = static_cast<std::uint64_t>(
+      std::count(payload.begin(), payload.end(), '\n'));
+  if (!parse_slot_ranges(slots_text, jobs, lines, fragment.slots)) {
     error = "malformed fragment slot list '" + slots_text + "'";
     return false;
   }
   // Store counters are informational; missing ones read as zero.
   std::uint64_t value = 0;
   fragment.store_stats = StoreStats{};
-  if (json_u64_field(meta, "memo_hits", value)) fragment.store_stats.hits = value;
-  if (json_u64_field(meta, "memo_misses", value))
+  if (meta_u64(meta, "memo_hits", value)) fragment.store_stats.hits = value;
+  if (meta_u64(meta, "memo_misses", value))
     fragment.store_stats.misses = value;
-  if (json_u64_field(meta, "disk_hits", value))
+  if (meta_u64(meta, "disk_hits", value))
     fragment.store_stats.disk_hits = value;
-  if (json_u64_field(meta, "disk_misses", value))
+  if (meta_u64(meta, "disk_misses", value))
     fragment.store_stats.disk_misses = value;
-  if (json_u64_field(meta, "disk_writes", value))
+  if (meta_u64(meta, "disk_writes", value))
     fragment.store_stats.disk_writes = value;
 
   std::size_t dist_lines = 0;

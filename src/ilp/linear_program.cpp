@@ -4,11 +4,9 @@
 
 namespace pwcet {
 
-VarId LinearProgram::add_variable(std::string name, bool integral) {
-  const VarId id = static_cast<VarId>(names_.size());
-  names_.push_back(std::move(name));
+VarId LinearProgram::add_variable() {
+  const VarId id = static_cast<VarId>(objective_.size());
   objective_.push_back(0.0);
-  integral_.push_back(integral ? 1 : 0);
   return id;
 }
 
@@ -24,7 +22,7 @@ void LinearProgram::set_objective_vector(std::vector<double> objective) {
 
 void LinearProgram::add_constraint(LinearConstraint c) {
   for (const auto& [var, coef] : c.terms) {
-    PWCET_EXPECTS(var >= 0 && static_cast<size_t>(var) < names_.size());
+    PWCET_EXPECTS(var >= 0 && static_cast<size_t>(var) < objective_.size());
     (void)coef;
   }
   constraints_.push_back(std::move(c));

@@ -18,7 +18,4 @@ Probability binomial_pmf(unsigned n, unsigned k, Probability p);
 /// The full pmf vector {P[X = 0], ..., P[X = n]}.
 std::vector<Probability> binomial_pmf_vector(unsigned n, Probability p);
 
-/// P[X >= k] for X ~ Binomial(n, p), summed from the small tail side.
-Probability binomial_tail_geq(unsigned n, unsigned k, Probability p);
-
 }  // namespace pwcet

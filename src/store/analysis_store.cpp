@@ -12,8 +12,7 @@ StoreOptions store_options_from_env(StoreOptions base) {
   return base;
 }
 
-AnalysisStore::AnalysisStore(const StoreOptions& options)
-    : memo_(MemoCache::Config{options.capacity, options.shards}) {
+AnalysisStore::AnalysisStore(const StoreOptions& options) {
   if (!options.artifact_dir.empty())
     artifacts_ = std::make_unique<ArtifactStore>(
         ArtifactStore::Options{options.artifact_dir});

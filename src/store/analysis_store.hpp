@@ -1,5 +1,5 @@
 /// \file
-/// Facade over the two store tiers, shared by the analyzer and the
+/// Facade over the two store tiers, shared by the pipeline and the
 /// campaign engine.
 ///
 /// One AnalysisStore instance serves a whole campaign (and, if the caller
@@ -25,8 +25,6 @@ namespace pwcet {
 struct StoreOptions {
   /// Master switch; disabled means no store object exists at all.
   bool enabled = true;
-  std::size_t capacity = 4096;  ///< memo entries kept (LRU beyond that)
-  std::size_t shards = 8;       ///< memo lock partitions
   /// Cache directory for the on-disk artifact tier; empty keeps the store
   /// purely in-memory (no file I/O).
   std::string artifact_dir;

@@ -1,9 +1,9 @@
 /// \file
 /// Minimal JSON document model + strict recursive-descent parser, shared
 /// by every JSON *reader* in the tree (engine/spec_io.cpp's campaign-spec
-/// loader, the CLI's `cache stats --metrics` renderer, tests validating
-/// trace/metrics exports) so the accepted grammar cannot drift between
-/// them.
+/// loader, engine/shard.cpp's fragment meta line, the CLI's `cache stats
+/// --metrics` renderer, tests validating trace/metrics exports) so the
+/// accepted grammar cannot drift between them.
 ///
 /// Values remember the line their first token started on, which is what
 /// lets semantic diagnostics downstream ("bad enum value", "must be

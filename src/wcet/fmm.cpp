@@ -290,12 +290,4 @@ FmmBundle compute_fmm_bundle(const Program& program,
   return bundle;
 }
 
-FaultMissMap compute_fmm(const Program& program, const CacheConfig& config,
-                         const ReferenceMap& refs, Mechanism mechanism,
-                         WcetEngine engine, IpetCalculator* ipet,
-                         ThreadPool* pool) {
-  return compute_fmm_bundle(program, config, refs, engine, ipet, pool)
-      .of(mechanism);
-}
-
 }  // namespace pwcet

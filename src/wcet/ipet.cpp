@@ -1,7 +1,5 @@
 #include "wcet/ipet.hpp"
 
-#include <cmath>
-
 #include "support/contracts.hpp"
 
 namespace pwcet {
@@ -10,15 +8,9 @@ IpetCalculator::IpetCalculator(const Program& program) : program_(program) {
   const ControlFlowGraph& cfg = program.cfg();
 
   edge_var_.resize(cfg.edge_count());
-  for (const CfgEdge& e : cfg.edges()) {
-    // Built via += (not "e" + to_string): g++ 12's -Wrestrict misfires on
-    // the literal+temporary operator+ chain at -O2 (GCC PR105329), and the
-    // CI warnings-as-errors job builds Release.
-    std::string name = "e";
-    name += std::to_string(e.id);
-    edge_var_[size_t(e.id)] = lp_.add_variable(name, /*integral=*/true);
-  }
-  virtual_entry_ = lp_.add_variable("entry", /*integral=*/true);
+  for (const CfgEdge& e : cfg.edges())
+    edge_var_[size_t(e.id)] = lp_.add_variable();
+  virtual_entry_ = lp_.add_variable();
 
   // Virtual entry executes exactly once.
   {
@@ -86,8 +78,7 @@ std::vector<double> IpetCalculator::objective_vector(
   return obj;
 }
 
-IpetSolution IpetCalculator::from_values(const CostModel& model,
-                                         const std::vector<double>& values,
+IpetSolution IpetCalculator::from_values(const std::vector<double>& values,
                                          double objective) const {
   const ControlFlowGraph& cfg = program_.cfg();
   IpetSolution sol;
@@ -102,7 +93,6 @@ IpetSolution IpetCalculator::from_values(const CostModel& model,
     if (b.id == cfg.entry()) count += 1.0;
     sol.block_counts[size_t(b.id)] = count;
   }
-  (void)model;
   return sol;
 }
 
@@ -110,16 +100,7 @@ IpetSolution IpetCalculator::maximize(const CostModel& model) {
   const auto obj = objective_vector(model);
   const LpSolution lp_sol = solver_->reoptimize(obj);
   PWCET_ASSERT(lp_sol.status == SolveStatus::kOptimal);
-  return from_values(model, lp_sol.values, lp_sol.objective);
-}
-
-IpetSolution IpetCalculator::maximize_exact(const CostModel& model) const {
-  LinearProgram lp = lp_;
-  lp.set_objective_vector(objective_vector(model));
-  const LpSolution sol = solve_ilp(lp);
-  PWCET_ASSERT(sol.status == SolveStatus::kOptimal);
-  IpetSolution out = from_values(model, sol.values, sol.objective);
-  return out;
+  return from_values(lp_sol.values, lp_sol.objective);
 }
 
 }  // namespace pwcet

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "cfg/program.hpp"
-#include "ilp/ilp_solver.hpp"
 #include "ilp/simplex.hpp"
 #include "wcet/cost_model.hpp"
 
@@ -32,21 +31,15 @@ class IpetCalculator {
   explicit IpetCalculator(const Program& program);
 
   /// Maximizes the cost model over all feasible flows. The LP relaxation
-  /// optimum is returned: a sound upper bound on the integer optimum, and
-  /// exact whenever the relaxation is integral (the common case for IPET;
-  /// the test suite cross-checks against the exact loop-tree engine).
+  /// optimum is returned: relaxing integrality can only raise a maximum,
+  /// so it is a sound upper bound on the integer optimum, and exact
+  /// whenever the relaxation is integral (the common case for IPET;
+  /// cross_engine_test checks it against the exact loop-tree engine).
   IpetSolution maximize(const CostModel& model);
-
-  /// Exact integer solve (fresh branch-and-bound; no warm start). Used by
-  /// tests and available for certification-grade runs.
-  IpetSolution maximize_exact(const CostModel& model) const;
-
-  const LinearProgram& linear_program() const { return lp_; }
 
  private:
   std::vector<double> objective_vector(const CostModel& model) const;
-  IpetSolution from_values(const CostModel& model,
-                           const std::vector<double>& values,
+  IpetSolution from_values(const std::vector<double>& values,
                            double objective) const;
 
   const Program& program_;

@@ -599,11 +599,4 @@ Program build(const std::string& name) {
   return ProgramBuilder("unreachable").build(0);
 }
 
-std::vector<Program> build_all() {
-  std::vector<Program> out;
-  out.reserve(std::size(kRegistry));
-  for (const Entry& e : kRegistry) out.push_back(e.builder());
-  return out;
-}
-
 }  // namespace pwcet::workloads

@@ -18,7 +18,6 @@
 #include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "engine/thread_pool.hpp"
 #include "store/analysis_store.hpp"
 #include "store/artifact_store.hpp"
@@ -63,7 +62,7 @@ TEST(PipelineGoldenKeys, CoreKeysMatchPreRefactorValues) {
 
   // The core keys of the two shipped compositions must reproduce the
   // historical recipes.
-  const PwcetAnalyzer single(p, ic);
+  const PwcetPipeline single(p, {std::make_shared<const IcacheDomain>(ic)});
   EXPECT_EQ(single.core_key().hex(), "cc02c7097bbec7aac3765c1f0b70271e");
   const PwcetPipeline combined(p, i_d_domains());
   EXPECT_EQ(combined.core_key().hex(), "9fb50b765ec8ffff8199eff92bcfb640");
@@ -108,7 +107,10 @@ TEST(PipelineGoldenKeys, ResultArtifactsLandOnPreRefactorKeys) {
   // The per-result disk artifacts are addressed by the live result keys;
   // their file names therefore pin the exact key bytes analyze() chains
   // (core key x mechanisms x pfail x coalescing budget).
-  const PwcetAnalyzer single(p, CacheConfig::paper_default(), options);
+  const PwcetPipeline single(
+      p,
+      {std::make_shared<const IcacheDomain>(CacheConfig::paper_default())},
+      options);
   single.analyze(faults, Mechanism::kSharedReliableBuffer);
   EXPECT_TRUE(fs::exists(
       fs::path(dir) / "distribution" /
@@ -128,7 +130,8 @@ TEST(PipelineGoldenKeys, NumericResultsMatchPreRefactorValues) {
   const Program p = workloads::build("fibcall");
   const FaultModel faults(1e-4);
 
-  const PwcetAnalyzer single(p, CacheConfig::paper_default());
+  const PwcetPipeline single(
+      p, {std::make_shared<const IcacheDomain>(CacheConfig::paper_default())});
   EXPECT_EQ(single.fault_free_wcet(), 8188u);
   EXPECT_EQ(
       single.analyze(faults, Mechanism::kSharedReliableBuffer).pwcet(1e-15),

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,6 @@
 #include "analysis/pipeline.hpp"
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
 #include "support/rng.hpp"
@@ -54,8 +54,10 @@ TEST_P(CrossEngineRandomTest, SingleCachePwcetAgrees) {
   PwcetOptions ilp_options, tree_options;
   ilp_options.engine = WcetEngine::kIlp;
   tree_options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer via_ilp(p, c, ilp_options);
-  const PwcetAnalyzer via_tree(p, c, tree_options);
+  const PwcetPipeline via_ilp(
+      p, {std::make_shared<const IcacheDomain>(c)}, ilp_options);
+  const PwcetPipeline via_tree(
+      p, {std::make_shared<const IcacheDomain>(c)}, tree_options);
   expect_cycle_equal(static_cast<double>(via_ilp.fault_free_wcet()),
                      static_cast<double>(via_tree.fault_free_wcet()),
                      "fault-free WCET");

@@ -8,7 +8,6 @@
 #include "analysis/dcache_domain.hpp"
 #include "analysis/icache_domain.hpp"
 #include "analysis/pipeline.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "support/rng.hpp"
@@ -66,7 +65,8 @@ TEST(Combined, FaultFreeWcetExceedsInstructionOnly) {
   const CacheConfig cache = CacheConfig::paper_default();
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer ionly(p, cache, options);
+  const PwcetPipeline ionly(
+      p, {std::make_shared<const IcacheDomain>(cache)}, options);
   const PwcetPipeline combined(p, i_d_domains(cache, cache), options);
   // Data misses only add time.
   EXPECT_GT(combined.fault_free_wcet(), ionly.fault_free_wcet());

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
@@ -300,11 +302,13 @@ TEST(Runner, PooledAnalyzerMatchesSerialAnalyzer) {
   const CacheConfig config = CacheConfig::paper_default();
   const FaultModel faults(1e-4);
 
-  const PwcetAnalyzer serial(program, config);
+  const PwcetPipeline serial(
+      program, {std::make_shared<const IcacheDomain>(config)});
   ThreadPool pool(3);
   PwcetOptions pooled_options;
   pooled_options.pool = &pool;
-  const PwcetAnalyzer pooled(program, config, pooled_options);
+  const PwcetPipeline pooled(
+      program, {std::make_shared<const IcacheDomain>(config)}, pooled_options);
 
   EXPECT_EQ(serial.fault_free_wcet(), pooled.fault_free_wcet());
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,

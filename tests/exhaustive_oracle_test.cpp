@@ -27,7 +27,6 @@
 #include "analysis/tlb_domain.hpp"
 #include "analysis/writeback_dcache_domain.hpp"
 #include "cache/references.hpp"
-#include "core/pwcet_analyzer.hpp"
 #include "sim/cache_sim.hpp"
 #include "sim/path.hpp"
 #include "store/analysis_store.hpp"
@@ -202,7 +201,7 @@ TEST(ExhaustiveOracle, ExactPenaltyDistributionDominated) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 8;  // force visible coalescing
-  const PwcetAnalyzer a(p, c, options);
+  const PwcetPipeline a(p, {std::make_shared<const IcacheDomain>(c)}, options);
   const double pfail = 0.01;
   const FaultModel faults(pfail);
   const auto result = a.analyze(faults, Mechanism::kNone);
@@ -217,7 +216,7 @@ TEST(ExhaustiveOracle, ExactPenaltyDistributionDominated) {
            std::pow(1 - pbf, c.sets * c.ways - faulty);
     double misses = 0.0;
     for (SetIndex s = 0; s < c.sets; ++s)
-      misses += a.fmm_bundle().none.at(s, map.faulty_count(s));
+      misses += a.fmm(0).none.at(s, map.faulty_count(s));
     atoms.push_back(
         {static_cast<Cycles>(misses) * c.miss_penalty, prob});
   }
@@ -340,7 +339,8 @@ TEST_P(RandomOracleTest, IcachePwcetDominatesExhaustiveDistribution) {
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
   options.max_distribution_points = 64;  // visible coalescing
-  const PwcetAnalyzer analyzer(p, c, options);
+  const PwcetPipeline analyzer(
+      p, {std::make_shared<const IcacheDomain>(c)}, options);
 
   std::vector<std::vector<Address>> traces;
   traces.reserve(paths.size());

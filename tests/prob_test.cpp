@@ -60,15 +60,6 @@ TEST(Binomial, DegenerateP) {
   EXPECT_DOUBLE_EQ(binomial_pmf(4, 1, 1.0), 0.0);
 }
 
-TEST(Binomial, TailGeq) {
-  const double p = 0.2;
-  EXPECT_NEAR(binomial_tail_geq(4, 0, p), 1.0, 1e-12);
-  double direct = 0.0;
-  for (unsigned k = 2; k <= 4; ++k) direct += binomial_pmf(4, k, p);
-  EXPECT_NEAR(binomial_tail_geq(4, 2, p), direct, 1e-12);
-  EXPECT_DOUBLE_EQ(binomial_tail_geq(4, 5, p), 0.0);
-}
-
 TEST(Distribution, DefaultIsZeroPoint) {
   const DiscreteDistribution d;
   EXPECT_EQ(d.size(), 1u);
@@ -149,25 +140,17 @@ TEST(Distribution, ConvolveWithZeroIsIdentity) {
   EXPECT_EQ(same, d);
 }
 
-TEST(Distribution, ShiftAndScale) {
+TEST(Distribution, Shift) {
   const auto d = DiscreteDistribution::from_atoms({{1, 0.5}, {2, 0.5}});
   const auto shifted = d.shift(100);
   EXPECT_EQ(shifted.min_value(), 101);
   EXPECT_EQ(shifted.max_value(), 102);
-  const auto scaled = d.scale_values(100);
-  EXPECT_EQ(scaled.min_value(), 100);
-  EXPECT_EQ(scaled.max_value(), 200);
-  // Scaling by zero collapses to a single atom at 0.
-  const auto zero = d.scale_values(0);
-  EXPECT_EQ(zero.size(), 1u);
-  EXPECT_NEAR(zero.total_mass(), 1.0, 1e-12);
 }
 
 TEST(Distribution, MeanLinearity) {
   const auto d = DiscreteDistribution::from_atoms({{2, 0.5}, {6, 0.5}});
   EXPECT_DOUBLE_EQ(d.mean(), 4.0);
   EXPECT_DOUBLE_EQ(d.shift(10).mean(), 14.0);
-  EXPECT_DOUBLE_EQ(d.scale_values(3).mean(), 12.0);
 }
 
 TEST(Distribution, CoalesceKeepsMassAndBounds) {

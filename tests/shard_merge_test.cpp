@@ -28,6 +28,9 @@
 #ifndef PWCET_SPECS_DIR
 #define PWCET_SPECS_DIR "specs"
 #endif
+#ifndef PWCET_GOLDEN_DIR
+#define PWCET_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace pwcet {
 namespace {
@@ -75,6 +78,28 @@ ReportBytes render(const CampaignResult& campaign) {
           campaign.spec.ccdf_exceedances.empty()
               ? std::string()
               : report_dist_csv(campaign) + report_dist_jsonl(campaign)};
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden file " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The checked-in single-process reports of a shipped spec, in render()'s
+/// layout. golden_report_test pins them to a live run, and the store
+/// on/off and thread-count identity tests pin that run to every runner
+/// configuration, so they stand in for a fresh reference run.
+ReportBytes golden(const std::string& stem, const CampaignSpec& spec) {
+  const fs::path dir(PWCET_GOLDEN_DIR);
+  return {read_file(dir / (stem + ".csv")) +
+              read_file(dir / (stem + ".jsonl")),
+          spec.ccdf_exceedances.empty()
+              ? std::string()
+              : read_file(dir / (stem + ".dist.csv")) +
+                    read_file(dir / (stem + ".dist.jsonl"))};
 }
 
 // ---- unit: selector, partition, assignment --------------------------------
@@ -182,15 +207,55 @@ TEST(ShardFragmentCodec, RejectsForeignSchemaAndRowMiscounts) {
   EXPECT_NE(error.find("schema"), std::string::npos) << error;
 }
 
+/// Hostile meta lines: a negative job count must not wrap to 2^64 - 1, and
+/// a slot range past the job count, or past the rows the payload carries,
+/// is rejected before it is expanded (the full 64-bit range would
+/// otherwise try to materialise 2^64 slots).
+TEST(ShardFragmentCodec, RejectsNegativeJobCountAndOutOfRangeSlots) {
+  ShardFragment fragment;
+  fragment.spec_key = "00112233445566778899aabbccddeeff";
+  fragment.count = 1;
+  fragment.job_count = 10;
+  fragment.slots = {0, 1};
+  fragment.report_rows = "{}\n{}\n";
+  const std::string valid = render_shard_fragment(fragment);
+  ShardFragment parsed;
+  std::string error;
+  ASSERT_TRUE(parse_shard_fragment(valid, parsed, error)) << error;
+
+  auto with = [](std::string payload, const std::string& from,
+                 const std::string& to) {
+    const std::size_t at = payload.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? payload
+                                   : payload.replace(at, from.size(), to);
+  };
+  const std::string negative_jobs = with(valid, "\"jobs\":10", "\"jobs\":-1");
+  EXPECT_FALSE(parse_shard_fragment(negative_jobs, parsed, error));
+  EXPECT_NE(error.find("malformed fragment meta line"), std::string::npos)
+      << error;
+  const std::string full_range = with(valid, "\"slots\":\"0-1\"",
+                                      "\"slots\":\"0-18446744073709551615\"");
+  EXPECT_FALSE(parse_shard_fragment(full_range, parsed, error));
+  EXPECT_NE(error.find("slot list"), std::string::npos) << error;
+  // A job count large enough to admit the range: the two rows the payload
+  // carries still bound it.
+  const std::string rows_exceeded =
+      with(with(valid, "\"jobs\":10", "\"jobs\":10000000000"),
+           "\"slots\":\"0-1\"", "\"slots\":\"0-9999999999\"");
+  EXPECT_FALSE(parse_shard_fragment(rows_exceeded, parsed, error));
+  EXPECT_NE(error.find("slot list"), std::string::npos) << error;
+}
+
 // ---- the identity property across every shipped spec ----------------------
 
 /// Shards share one cache directory (the concurrent-deployment layout);
 /// store on/off alternates with the shard count so both paths cross every
-/// spec. Cold/warm is exercised by a second pass for one spec below. Every
-/// campaign run is single-threaded and touches only its own variant's
-/// cache directory, so all of them — every spec's reference and every
-/// shard of every variant — run concurrently on one hardware-sized pool;
-/// merges and comparisons stay on the test thread.
+/// spec. Cold/warm is exercised by a second pass for one spec below. The
+/// reference is the spec's golden report (tests/golden/). Every campaign
+/// run is single-threaded and touches only its own variant's cache
+/// directory, so every shard of every variant runs concurrently on one
+/// hardware-sized pool; merges and comparisons stay on the test thread.
 TEST_F(ShardMergeTest, EveryShippedSpecMergesByteIdenticallyForAllCounts) {
   const std::size_t kCounts[] = {1, 2, 3, 7};
   std::vector<SpecDocument> docs;
@@ -201,26 +266,15 @@ TEST_F(ShardMergeTest, EveryShippedSpecMergesByteIdenticallyForAllCounts) {
     std::string cache_dir;
     std::vector<std::future<void>> shards;
   };
-  struct SpecRuns {
-    std::future<ReportBytes> reference;
-    std::vector<Variant> variants;
-  };
-  // Larger runs first — every reference and unsharded variant, then the
-  // shards by decreasing size — so no long run starts last.
+  // Larger runs first — every unsharded variant, then the shards by
+  // decreasing size — so no long run starts last.
   ThreadPool pool;
-  std::vector<SpecRuns> runs(docs.size());
-  for (std::size_t d = 0; d < docs.size(); ++d)
-    runs[d].reference = pool.submit([&spec = docs[d].spec] {
-      RunnerOptions reference_options;
-      reference_options.threads = 1;
-      reference_options.store.enabled = false;
-      return render(run_campaign(spec, reference_options));
-    });
+  std::vector<std::vector<Variant>> runs(docs.size());
   for (std::size_t c = 0; c < std::size(kCounts); ++c) {
     const std::size_t count = kCounts[c];
     const bool with_store = c % 2 == 0;
     for (std::size_t d = 0; d < docs.size(); ++d) {
-      Variant& v = runs[d].variants.emplace_back();
+      Variant& v = runs[d].emplace_back();
       v.cache_dir = subdir(std::string(kShippedSpecs[d]) + "_n" +
                            std::to_string(count));
       for (std::size_t i = 0; i < count; ++i)
@@ -238,10 +292,10 @@ TEST_F(ShardMergeTest, EveryShippedSpecMergesByteIdenticallyForAllCounts) {
 
   for (std::size_t d = 0; d < docs.size(); ++d) {
     SCOPED_TRACE(kShippedSpecs[d]);
-    const ReportBytes reference = runs[d].reference.get();
+    const ReportBytes reference = golden(kShippedSpecs[d], docs[d].spec);
     for (std::size_t c = 0; c < std::size(kCounts); ++c) {
       SCOPED_TRACE("count=" + std::to_string(kCounts[c]));
-      Variant& v = runs[d].variants[c];
+      Variant& v = runs[d][c];
       for (std::future<void>& shard : v.shards) shard.get();
 
       ShardMergeOptions merge_options;

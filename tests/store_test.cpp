@@ -17,7 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "engine/campaign.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
@@ -196,21 +197,14 @@ class ArtifactStoreTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(ArtifactStoreTest, TextRoundTripAndLoadOrCompute) {
+TEST_F(ArtifactStoreTest, TextRoundTrip) {
   const ArtifactStore store({dir_});
   const StoreKey key = KeyHasher("artifact-test").mix_u64(1).finish();
   EXPECT_FALSE(store.load_text("report", key).has_value());
 
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    return std::string("line1\nline2\n");
-  };
-  EXPECT_EQ(store.load_or_compute_text("report", key, compute),
-            "line1\nline2\n");
-  EXPECT_EQ(store.load_or_compute_text("report", key, compute),
-            "line1\nline2\n");
-  EXPECT_EQ(computed, 1);
+  EXPECT_TRUE(store.store_text("report", key, "line1\nline2\n"));
+  EXPECT_EQ(store.load_text("report", key), "line1\nline2\n");
+  EXPECT_EQ(store.load_text("report", key), "line1\nline2\n");
   EXPECT_EQ(store.disk_writes(), 1u);
   EXPECT_GE(store.disk_hits(), 1u);
 
@@ -308,21 +302,23 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
   const CacheConfig config = CacheConfig::paper_default();
   const FaultModel faults(1e-3);
 
-  const PwcetAnalyzer plain(program, config);
+  const PwcetPipeline plain(
+      program, {std::make_shared<const IcacheDomain>(config)});
   AnalysisStore store;
   PwcetOptions stored_options;
   stored_options.store = &store;
-  const PwcetAnalyzer stored(program, config, stored_options);
+  const PwcetPipeline stored(
+      program, {std::make_shared<const IcacheDomain>(config)}, stored_options);
   // Second stored analyzer: core comes entirely from the memo.
-  const PwcetAnalyzer memoized(program, config, stored_options);
+  const PwcetPipeline memoized(
+      program, {std::make_shared<const IcacheDomain>(config)}, stored_options);
 
   EXPECT_EQ(plain.fault_free_wcet(), stored.fault_free_wcet());
   EXPECT_EQ(plain.fault_free_wcet(), memoized.fault_free_wcet());
   for (const Mechanism m : {Mechanism::kNone, Mechanism::kReliableWay,
                             Mechanism::kSharedReliableBuffer}) {
-    EXPECT_EQ(plain.fmm_bundle().of(m).misses, stored.fmm_bundle().of(m).misses);
-    EXPECT_EQ(plain.fmm_bundle().of(m).misses,
-              memoized.fmm_bundle().of(m).misses);
+    EXPECT_EQ(plain.fmm(0).of(m).misses, stored.fmm(0).of(m).misses);
+    EXPECT_EQ(plain.fmm(0).of(m).misses, memoized.fmm(0).of(m).misses);
     const PwcetResult a = plain.analyze(faults, m);
     const PwcetResult b = stored.analyze(faults, m);
     const PwcetResult c = memoized.analyze(faults, m);  // memo hit path

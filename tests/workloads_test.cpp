@@ -2,9 +2,11 @@
 // paper-level integration invariants of the Fig. 4 experiment.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
-#include "core/pwcet_analyzer.hpp"
+#include "analysis/icache_domain.hpp"
+#include "analysis/pipeline.hpp"
 #include "sim/path.hpp"
 #include "workloads/malardalen.hpp"
 
@@ -89,7 +91,10 @@ TEST_P(PaperInvariantsTest, Figure4Orderings) {
   const Program p = workloads::build(GetParam());
   PwcetOptions options;
   options.engine = WcetEngine::kTree;
-  const PwcetAnalyzer a(p, CacheConfig::paper_default(), options);
+  const PwcetPipeline a(
+      p,
+      {std::make_shared<const IcacheDomain>(CacheConfig::paper_default())},
+      options);
   const FaultModel faults(1e-4);
   const auto none = a.analyze(faults, Mechanism::kNone);
   const auto rw = a.analyze(faults, Mechanism::kReliableWay);
@@ -121,7 +126,10 @@ TEST(PaperResults, AllFourCategoriesOccur) {
   std::set<int> seen;
   for (const std::string& name : workloads::names()) {
     const Program p = workloads::build(name);
-    const PwcetAnalyzer a(p, CacheConfig::paper_default(), options);
+    const PwcetPipeline a(
+        p,
+        {std::make_shared<const IcacheDomain>(CacheConfig::paper_default())},
+        options);
     const auto none = a.analyze(faults, Mechanism::kNone);
     const auto rw = a.analyze(faults, Mechanism::kReliableWay);
     const auto srb = a.analyze(faults, Mechanism::kSharedReliableBuffer);
@@ -153,7 +161,10 @@ TEST(PaperResults, AverageGainsInPaperBallpark) {
   int n = 0;
   for (const std::string& name : workloads::names()) {
     const Program p = workloads::build(name);
-    const PwcetAnalyzer a(p, CacheConfig::paper_default(), options);
+    const PwcetPipeline a(
+        p,
+        {std::make_shared<const IcacheDomain>(CacheConfig::paper_default())},
+        options);
     const double base =
         static_cast<double>(a.analyze(faults, Mechanism::kNone).pwcet(1e-15));
     sum_rw += 1.0 - a.analyze(faults, Mechanism::kReliableWay).pwcet(1e-15) /
