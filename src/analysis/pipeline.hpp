@@ -31,7 +31,9 @@
 /// per-set-penalty / per-row keys reproduce the pre-pipeline analyzers'
 /// keys bit for bit — so memo and artifact stores written before this
 /// refactor keep hitting after it (pinned by
-/// tests/analysis_pipeline_test.cpp).
+/// tests/analysis_pipeline_test.cpp). The core key names no memo entry of
+/// its own: it is the prefix every result key and on-disk `distribution`
+/// artifact chains from.
 #pragma once
 
 #include <cstdint>
@@ -65,15 +67,16 @@ struct PwcetOptions {
   /// pipeline; nullptr runs everything on the calling thread.
   ThreadPool* pool = nullptr;
   /// Optional content-addressed store (store/analysis_store.hpp), which
-  /// memoizes three layers: the pipeline core (fault-free WCET + all
-  /// domains' FMM bundles, including the tree engine's per-set rows),
-  /// per-set penalty distributions (content-addressed on the FMM row
-  /// itself, so identical rows share across sets, mechanisms, domains and
-  /// even tasks), and whole per-(mechanisms, pfail) results — the latter
-  /// also persisted to disk when the store has an artifact tier. Every key
-  /// captures all inputs of the computation it names and every computation
-  /// is deterministic, so results with a store are byte-identical to cold
-  /// recomputation at any thread count (asserted by tests/store_test.cpp).
+  /// memoizes three layers: the tree engine's per-set FMM rows (shared
+  /// across compositions of the same task and cache), per-set penalty
+  /// distributions (content-addressed on the FMM row itself, so identical
+  /// rows share across sets, mechanisms, domains and even tasks), and
+  /// whole per-(mechanisms, pfail) results — the latter also persisted to
+  /// disk when the store has an artifact tier. The pipeline core itself is
+  /// computed by every constructor. Every key captures all inputs of the
+  /// computation it names and every computation is deterministic, so
+  /// results with a store are byte-identical to cold recomputation at any
+  /// thread count (asserted by tests/store_test.cpp).
   /// The store must outlive the pipeline; nullptr computes from scratch.
   AnalysisStore* store = nullptr;
 };
@@ -113,8 +116,7 @@ DiscreteDistribution build_penalty_distribution(
 /// Pipeline bound to one (program, domain list) pair. The expensive
 /// shared work (reference extraction, fault-free classification, the
 /// single IPET/tree phase-1 maximization, all FMM bundles) is done once
-/// in the constructor — memoized all-or-nothing under the core key — and
-/// reused across mechanisms and pfail values.
+/// in the constructor and reused across mechanisms and pfail values.
 class PwcetPipeline {
  public:
   /// `domains` must be non-empty and its first entry standalone()
@@ -150,10 +152,8 @@ class PwcetPipeline {
 
  private:
   /// The pfail-independent re-weighting bundle of one mechanism
-  /// assignment: per-domain penalty scaffolding ("pwcet-bundle-v1",
-  /// store/key.hpp) shared by every pfail point that analyze() sees.
-  /// Cached per instance (so store-less runs share too) and, with a
-  /// store, memoized across pipelines under the bundle key.
+  /// assignment: per-domain penalty scaffolding shared by every pfail
+  /// point that analyze() sees. Cached per instance, store or no store.
   std::shared_ptr<const PenaltyBundle> acquire_bundle(
       const std::vector<Mechanism>& mechanisms) const;
 

@@ -16,10 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "benchlib/diff.hpp"
-#include "benchlib/harness.hpp"
-#include "benchlib/report.hpp"
-#include "benchlib/scenario.hpp"
 #include "engine/names.hpp"
 #include "engine/report.hpp"
 #include "engine/runner.hpp"
@@ -88,21 +84,6 @@ constexpr const char* kUsage =
     "      --metrics FILE    (stats) also render the per-layer store\n"
     "                        counters and histogram percentiles of a\n"
     "                        --metrics-out snapshot\n"
-    "  bench run             execute benchmark scenarios, emit a versioned\n"
-    "                        BenchReport JSON (docs/benchmarking.md)\n"
-    "      --output FILE     write the report to FILE (default: stdout)\n"
-    "      --repetitions N   measured repetitions per scenario (default 5)\n"
-    "      --warmup N        discarded settling repetitions (default 1)\n"
-    "      --threads N       campaign-scenario worker threads (default 1)\n"
-    "      --scenarios SUB   only scenarios whose name contains SUB\n"
-    "      --inject-slowdown METRIC=FACTOR\n"
-    "                        scale recorded METRIC samples (regression-\n"
-    "                        gate self-test; recorded in the artifact)\n"
-    "  bench list            list benchmark scenarios\n"
-    "  bench diff <A> <B>    compare two BenchReports (A = baseline);\n"
-    "                        exits 3 when a metric regressed beyond the\n"
-    "                        noise band\n"
-    "      --threshold FRAC  relative regression threshold (default 0.25)\n"
     "\n"
     "Spec files are documented in docs/campaign-spec.md; ready-made paper\n"
     "campaigns ship under specs/.\n";
@@ -693,8 +674,8 @@ int cmd_list(const std::vector<std::string>& args, std::ostream& out,
 // ---- pwcet cache ----------------------------------------------------------
 
 /// Renders the `store.<tier>.<layer>.<event>` counters of a --metrics-out
-/// snapshot as one per-layer table: memo rows (core / set-penalty / result
-/// / slack / fmm-rows) with hit/miss/eviction columns, disk rows (per
+/// snapshot as one per-layer table: memo rows (result / set-penalty /
+/// fmm-rows / slack) with hit/miss/eviction columns, disk rows (per
 /// artifact kind) with hit/miss/write columns. Histograms follow as a
 /// percentile table (the derived p50/p90/p99 fields, never the raw bucket
 /// arrays). Returns false (after a diagnostic) when the file does not load
@@ -932,232 +913,6 @@ int cmd_cache(const std::vector<std::string>& args, std::ostream& out,
   return 0;
 }
 
-// ---- pwcet bench ----------------------------------------------------------
-
-bool parse_count_flag(const Flag& flag, std::size_t& value,
-                      std::ostream& err) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed =
-      std::strtoull(flag.value.c_str(), &end, 10);
-  if (flag.value.empty() || errno != 0 || end == nullptr || *end != '\0') {
-    err << "pwcet: " << flag.name << " wants a non-negative integer, got '"
-        << flag.value << "'\n";
-    return false;
-  }
-  value = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-/// Parses `--inject-slowdown METRIC=FACTOR` into the harness's injection
-/// list. The knob exists so CI can prove the regression gate fires (see
-/// docs/benchmarking.md); it is recorded in the artifact's environment so
-/// a doctored report can never masquerade as a clean baseline.
-bool parse_injection(const Flag& flag, benchlib::BenchOptions& options,
-                     std::ostream& err) {
-  const std::size_t equals = flag.value.find('=');
-  double factor = 0.0;
-  if (equals != std::string::npos && equals > 0) {
-    errno = 0;
-    char* end = nullptr;
-    factor = std::strtod(flag.value.c_str() + equals + 1, &end);
-    if (errno != 0 || end == nullptr || *end != '\0') factor = 0.0;
-  }
-  if (factor <= 0.0) {
-    err << "pwcet: --inject-slowdown wants METRIC=FACTOR with FACTOR > 0, "
-           "got '"
-        << flag.value << "'\n";
-    return false;
-  }
-  options.inject_slowdown.emplace_back(flag.value.substr(0, equals), factor);
-  return true;
-}
-
-int cmd_bench_run(const std::vector<std::string>& positionals,
-                  const std::vector<Flag>& flags, std::ostream& out,
-                  std::ostream& err) {
-  if (positionals.size() != 1) {
-    err << "pwcet: bench run takes no positional arguments\n";
-    return 2;
-  }
-  benchlib::BenchOptions bench;
-  benchlib::ScenarioOptions scenario_options;
-  std::string output;
-  std::string filter;
-  for (const Flag& flag : flags) {
-    if (flag.name == "--output") {
-      output = flag.value;
-    } else if (flag.name == "--repetitions") {
-      if (!parse_count_flag(flag, bench.repetitions, err)) return 2;
-      if (bench.repetitions == 0) {
-        err << "pwcet: --repetitions wants at least 1\n";
-        return 2;
-      }
-    } else if (flag.name == "--warmup") {
-      if (!parse_count_flag(flag, bench.warmup, err)) return 2;
-    } else if (flag.name == "--threads") {
-      if (!parse_threads(flag.value, scenario_options.threads, err)) return 2;
-      if (scenario_options.threads == 0)
-        scenario_options.threads =
-            std::max(1u, std::thread::hardware_concurrency());
-    } else if (flag.name == "--scenarios") {
-      filter = flag.value;
-    } else if (flag.name == "--inject-slowdown") {
-      if (!parse_injection(flag, bench, err)) return 2;
-    } else {
-      err << "pwcet: unknown option '" << flag.name << "' for bench run\n"
-          << kUsage;
-      return 2;
-    }
-  }
-
-  std::vector<benchlib::Scenario> scenarios = benchlib::builtin_scenarios();
-  if (!filter.empty()) {
-    std::erase_if(scenarios, [&filter](const benchlib::Scenario& s) {
-      return s.name.find(filter) == std::string::npos;
-    });
-    if (scenarios.empty()) {
-      err << "pwcet: no scenario matches '" << filter
-          << "' (see pwcet bench list)\n";
-      return 1;
-    }
-  }
-
-  benchlib::BenchReport report;
-  // No timestamps or hostnames: two reports from comparable runs must
-  // differ only in samples, so a diff's environment notes stay meaningful.
-  report.environment = {
-      {"threads", std::to_string(scenario_options.threads)},
-      {"hardware_threads",
-       std::to_string(std::thread::hardware_concurrency())},
-      {"store", "memory"},
-#ifdef NDEBUG
-      {"build_type", "release"},
-#else
-      {"build_type", "debug"},
-#endif
-      {"obs_metrics", bench.capture_metrics ? "on" : "off"},
-      {"warmup", std::to_string(bench.warmup)},
-      {"repetitions", std::to_string(bench.repetitions)},
-  };
-  if (!bench.inject_slowdown.empty()) {
-    std::string injected;
-    for (const auto& [metric, factor] : bench.inject_slowdown) {
-      if (!injected.empty()) injected += ",";
-      injected += metric + "=" + fmt_double(factor, 3);
-    }
-    report.environment.emplace_back("inject_slowdown", injected);
-  }
-
-  for (benchlib::Scenario& scenario : scenarios) {
-    err << "bench: " << scenario.name << " (" << bench.warmup << "+"
-        << bench.repetitions << " reps)..." << std::flush;
-    if (scenario.setup) scenario.setup(scenario_options);
-    benchlib::ScenarioSamples samples = benchlib::run_scenario(
-        scenario.name, bench,
-        [&scenario, &scenario_options](benchlib::Recorder& recorder) {
-          scenario.body(recorder, scenario_options);
-        });
-    benchlib::ScenarioReport summary =
-        benchlib::summarize_scenario(std::move(samples));
-    const auto wall = summary.stats.find("wall_ns");
-    if (wall != summary.stats.end())
-      err << " median " << fmt_double(wall->second.median / 1e6, 3) << " ms";
-    err << "\n";
-    report.scenarios.push_back(std::move(summary));
-  }
-
-  const std::string json = benchlib::bench_report_json(report);
-  if (output.empty()) {
-    out << json;
-    return 0;
-  }
-  if (!benchlib::write_bench_report(report, output)) {
-    err << "pwcet: failed to write bench report " << output << "\n";
-    return 1;
-  }
-  err << "wrote " << output << " (" << report.scenarios.size()
-      << " scenarios)\n";
-  return 0;
-}
-
-int cmd_bench_list(const std::vector<std::string>& positionals,
-                   const std::vector<Flag>& flags, std::ostream& out,
-                   std::ostream& err) {
-  if (positionals.size() != 1 || !flags.empty()) {
-    err << "pwcet: bench list takes no arguments\n";
-    return 2;
-  }
-  TextTable table({"scenario", "description"});
-  for (const benchlib::Scenario& scenario : benchlib::builtin_scenarios())
-    table.add_row({scenario.name, scenario.description});
-  out << table.to_string();
-  return 0;
-}
-
-int cmd_bench_diff(const std::vector<std::string>& positionals,
-                   const std::vector<Flag>& flags, std::ostream& out,
-                   std::ostream& err) {
-  if (positionals.size() != 3) {
-    err << "pwcet: bench diff wants exactly two report files (baseline, "
-           "candidate)\n";
-    return 2;
-  }
-  benchlib::DiffOptions options;
-  for (const Flag& flag : flags) {
-    if (flag.name == "--threshold") {
-      errno = 0;
-      char* end = nullptr;
-      options.threshold = std::strtod(flag.value.c_str(), &end);
-      if (flag.value.empty() || errno != 0 || end == nullptr ||
-          *end != '\0' || options.threshold <= 0.0) {
-        err << "pwcet: --threshold wants a positive fraction, got '"
-            << flag.value << "'\n";
-        return 2;
-      }
-    } else {
-      err << "pwcet: unknown option '" << flag.name << "' for bench diff\n"
-          << kUsage;
-      return 2;
-    }
-  }
-  try {
-    const benchlib::BenchReport before =
-        benchlib::load_bench_report(positionals[1]);
-    const benchlib::BenchReport after =
-        benchlib::load_bench_report(positionals[2]);
-    const benchlib::BenchDiff diff =
-        benchlib::diff_reports(before, after, options);
-    benchlib::render_diff(diff, options, out);
-    // Exit 3 (not 1) so CI can tell "a metric regressed" apart from
-    // "the artifacts could not be compared".
-    return diff.has_regression() ? 3 : 0;
-  } catch (const benchlib::BenchError& e) {
-    err << "pwcet: " << e.what() << "\n";
-    return 1;
-  }
-}
-
-int cmd_bench(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  std::vector<std::string> positionals;
-  std::vector<Flag> flags;
-  if (!split_args(args, positionals, flags, err)) return 2;
-  if (positionals.empty()) {
-    err << "pwcet: bench wants 'run', 'list' or 'diff'\n" << kUsage;
-    return 2;
-  }
-  if (positionals[0] == "run") return cmd_bench_run(positionals, flags, out, err);
-  if (positionals[0] == "list")
-    return cmd_bench_list(positionals, flags, out, err);
-  if (positionals[0] == "diff")
-    return cmd_bench_diff(positionals, flags, out, err);
-  err << "pwcet: bench wants 'run', 'list' or 'diff', got '" << positionals[0]
-      << "'\n"
-      << kUsage;
-  return 2;
-}
-
 }  // namespace
 
 int run(const std::vector<std::string>& args, std::ostream& out,
@@ -1175,7 +930,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     if (command == "describe") return cmd_describe(rest, out, err);
     if (command == "list") return cmd_list(rest, out, err);
     if (command == "cache") return cmd_cache(rest, out, err);
-    if (command == "bench") return cmd_bench(rest, out, err);
   } catch (const SpecError& e) {
     err << "pwcet: " << e.what() << "\n";
     return 1;

@@ -9,16 +9,14 @@
 ///
 /// Subcommands:
 ///   - `run <spec.json>`       execute a campaign spec and emit its report
+///   - `merge <spec.json>`     reassemble a sharded campaign's fragments
 ///   - `describe <spec.json>`  print the expanded job grid without running
 ///   - `list`                  built-in tasks / mechanisms / engines / kinds
 ///   - `cache stats|clear`     inspect or empty an artifact cache directory
-///   - `bench run|list|diff`   statistical benchmark harness + regression
-///                             gate (src/benchlib, docs/benchmarking.md)
 ///
 /// Exit codes: 0 on success, 1 for runtime failures (malformed spec,
 /// unreadable file, I/O error — always with a diagnostic naming the
-/// offending field on stderr), 2 for usage errors, 3 when `bench diff`
-/// finds a performance regression beyond the noise band.
+/// offending field on stderr), 2 for usage errors.
 #pragma once
 
 #include <iosfwd>
@@ -30,8 +28,7 @@ namespace pwcet::cli {
 /// Executes one CLI invocation. `args` is argv without the program name;
 /// machine-readable output (reports, listings) goes to `out`, diagnostics
 /// and progress summaries to `err`.
-/// \return the process exit code (0 success, 1 failure, 2 usage error,
-/// 3 bench-diff regression).
+/// \return the process exit code (0 success, 1 failure, 2 usage error).
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err);
 

@@ -2,13 +2,15 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
 #include "support/json.hpp"
+#include "support/json_doc.hpp"
 
 namespace pwcet {
 namespace {
@@ -31,11 +33,11 @@ std::string fmt_u64(std::uint64_t value) {
 /// Single source of truth for column names and their JSON type, so the
 /// quoting decision cannot drift from the column order.
 ///
-/// The numeric tail (wcet_ff .. bound_misses_1) is also parsed back by
-/// parse_campaign_report_rows below when a persisted campaign report or a
-/// shard fragment is loaded; renaming or reordering those columns breaks
-/// that parse — store_test's CampaignWarmFromDiskIsByteIdentical (which
-/// asserts zero recomputation on a warm run) catches the drift.
+/// The numeric tail (wcet_ff .. bound_misses_1) is also read back, by
+/// name, by parse_campaign_report_rows below when a persisted campaign
+/// report or a shard fragment is loaded; renaming one of those columns
+/// breaks that parse — store_test's CampaignWarmFromDiskIsByteIdentical
+/// (which asserts zero recomputation on a warm run) catches the drift.
 struct Column {
   const char* name;
   bool json_string;
@@ -247,6 +249,44 @@ std::string report_dist_jsonl(const CampaignResult& campaign) {
   return out;
 }
 
+namespace {
+
+/// One persisted report row as a JSON object, through the one grammar
+/// every reader shares (support/json_doc.hpp); nullopt when the line is
+/// not valid JSON or not an object.
+std::optional<Json> parse_row(const std::string& line) {
+  try {
+    Json row = parse_json(line, "<report row>");
+    if (row.type == Json::Type::kObject) return row;
+  } catch (const JsonParseError&) {
+  }
+  return std::nullopt;
+}
+
+/// Integer column: a plain non-negative integer token (no sign, fraction
+/// or exponent — the writer prints decimal digits only) no larger than
+/// `max`.
+bool read_count(const Json& row, const char* name, std::uint64_t& out,
+                std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const Json* value = row.find(name);
+  if (value == nullptr || value->type != Json::Type::kNumber ||
+      !value->integral || value->integer > max)
+    return false;
+  out = value->integer;
+  return true;
+}
+
+/// Real column: any JSON number (the grammar already rejects nan, inf
+/// and overflowing literals).
+bool read_number(const Json& row, const char* name, double& out) {
+  const Json* value = row.find(name);
+  if (value == nullptr || value->type != Json::Type::kNumber) return false;
+  out = value->number;
+  return true;
+}
+
+}  // namespace
+
 bool parse_campaign_report_rows(const std::string& payload,
                                 const std::vector<CampaignJob>& jobs,
                                 const std::vector<std::size_t>& slots,
@@ -259,37 +299,28 @@ bool parse_campaign_report_rows(const std::string& payload,
     if (row >= slots.size()) return false;
     const std::size_t slot = slots[row];
     if (slot >= jobs.size() || slot >= results.size()) return false;
-    const char* at = std::strstr(line.c_str(), "\"wcet_ff\":");
-    if (at == nullptr) return false;
-    long long wcet_ff = 0;
-    double pwcet = 0.0, observed_max = 0.0, penalty_mean = 0.0;
-    unsigned long long penalty_points = 0;
-    unsigned long long fetches = 0, srb_hits = 0;
-    unsigned long long sim_misses = 0, bound_misses = 0;
-    unsigned long long sim_misses_1 = 0, bound_misses_1 = 0;
-    if (std::sscanf(at,
-                    "\"wcet_ff\":%lld,\"pwcet\":%lf,\"observed_max\":%lf,"
-                    "\"penalty_mean\":%lf,\"penalty_points\":%llu,"
-                    "\"fetches\":%llu,\"srb_hits\":%llu,"
-                    "\"sim_misses\":%llu,\"bound_misses\":%llu,"
-                    "\"sim_misses_1\":%llu,\"bound_misses_1\":%llu}",
-                    &wcet_ff, &pwcet, &observed_max, &penalty_mean,
-                    &penalty_points, &fetches, &srb_hits, &sim_misses,
-                    &bound_misses, &sim_misses_1, &bound_misses_1) != 11)
-      return false;
-    JobResult& result = results[slot];
+    const std::optional<Json> parsed = parse_row(line);
+    if (!parsed) return false;
+    JobResult result;
     result.job = jobs[slot];
+    std::uint64_t wcet_ff = 0, penalty_points = 0;
+    if (!read_count(*parsed, "wcet_ff", wcet_ff,
+                    std::numeric_limits<Cycles>::max()) ||
+        !read_number(*parsed, "pwcet", result.pwcet) ||
+        !read_number(*parsed, "observed_max", result.observed_max) ||
+        !read_number(*parsed, "penalty_mean", result.penalty_mean) ||
+        !read_count(*parsed, "penalty_points", penalty_points,
+                    std::numeric_limits<std::size_t>::max()) ||
+        !read_count(*parsed, "fetches", result.fetches) ||
+        !read_count(*parsed, "srb_hits", result.srb_hits) ||
+        !read_count(*parsed, "sim_misses", result.sim_misses) ||
+        !read_count(*parsed, "bound_misses", result.bound_misses) ||
+        !read_count(*parsed, "sim_misses_1", result.sim_misses_1) ||
+        !read_count(*parsed, "bound_misses_1", result.bound_misses_1))
+      return false;
     result.fault_free_wcet = static_cast<Cycles>(wcet_ff);
-    result.pwcet = pwcet;
-    result.observed_max = observed_max;
-    result.penalty_mean = penalty_mean;
     result.penalty_points = static_cast<std::size_t>(penalty_points);
-    result.fetches = fetches;
-    result.srb_hits = srb_hits;
-    result.sim_misses = sim_misses;
-    result.bound_misses = bound_misses;
-    result.sim_misses_1 = sim_misses_1;
-    result.bound_misses_1 = bound_misses_1;
+    results[slot] = std::move(result);
     ++row;
   }
   return row == slots.size();
@@ -308,11 +339,10 @@ bool parse_campaign_dist_rows(const std::string& payload, std::size_t points,
     if (row >= total) return false;
     const std::size_t slot = slots[row / points];
     if (slot >= results.size()) return false;
-    const char* at = std::strstr(line.c_str(), "\"exceedance\":");
-    if (at == nullptr) return false;
+    const std::optional<Json> parsed = parse_row(line);
     double exceedance = 0.0, value = 0.0;
-    if (std::sscanf(at, "\"exceedance\":%lf,\"value\":%lf}", &exceedance,
-                    &value) != 2)
+    if (!parsed || !read_number(*parsed, "exceedance", exceedance) ||
+        !read_number(*parsed, "value", value))
       return false;
     JobResult& result = results[slot];
     if (result.curve.size() != points) result.curve.assign(points, 0.0);

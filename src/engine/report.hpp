@@ -59,9 +59,11 @@ std::string report_dist_jsonl_rows(const CampaignResult& campaign,
 /// round-tripping conversions ("%.17g" / decimal integers), so the
 /// reconstructed results render byte-identically to the originals. Used by
 /// the runner's whole-campaign warm load (slots = all jobs) and by the
-/// shard merge (slots = a fragment's covered rows). Returns false on any
-/// mismatch (row count, missing fields, slot out of range), in which case
-/// the caller recomputes or rejects the payload.
+/// shard merge (slots = a fragment's covered rows). Each row is read with
+/// the shared JSON grammar (support/json_doc.hpp). Returns false on any
+/// mismatch (row count, a row that is not a JSON object, a missing field,
+/// a negative or non-integer count, a non-number, slot out of range), in
+/// which case the caller recomputes or rejects the payload.
 bool parse_campaign_report_rows(const std::string& payload,
                                 const std::vector<CampaignJob>& jobs,
                                 const std::vector<std::size_t>& slots,

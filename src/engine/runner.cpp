@@ -286,8 +286,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const auto [shard_begin, shard_end] =
       shard_group_range(schedule.size(), options.shard);
 
-  // One store serves the whole campaign (callers can pass a longer-lived
-  // one for warm reuse). Pool workers share it concurrently.
+  // One store serves the whole campaign (or the caller's, when given).
+  // Pool workers share it concurrently.
   std::unique_ptr<AnalysisStore> owned_store;
   AnalysisStore* store = options.shared_store;
   if (store == nullptr) {

@@ -50,16 +50,17 @@ struct RunnerOptions {
   /// Worker threads; 0 = one per hardware thread.
   std::size_t threads = 0;
   /// Content-addressed store configuration (store/analysis_store.hpp).
-  /// Enabled by default: grid jobs sharing sub-problems (same core across
-  /// pfail values, same FMM rows across mechanisms) reuse each other's
+  /// Enabled by default: grid jobs sharing sub-problems (same penalty row
+  /// across sets and mechanisms, same tree-engine FMM rows across
+  /// compositions, same result across repeated cells) reuse each other's
   /// results, byte-identically. The runner applies the PWCET_CACHE_DIR
   /// fallback for the disk tier via store_options_from_env before
   /// constructing the store.
   StoreOptions store;
-  /// Reuse a caller-owned store instead of constructing one from `store`
-  /// — this is how warm re-runs are measured (the `campaign.*.warm`
-  /// bench scenarios) and how long-lived services would share a cache
-  /// across campaigns.
+  /// Use a caller-owned store instead of constructing one from `store`.
+  /// Tests pass one to isolate a run from PWCET_CACHE_DIR or to inspect
+  /// its counters afterwards; a store reused across campaigns answers
+  /// repeated cells from its result layer.
   AnalysisStore* shared_store = nullptr;
   /// Which shard of the campaign to execute. {0, 1} (the default) runs
   /// everything. A proper shard runs only the analyzer groups its

@@ -70,8 +70,8 @@ class DurationHistogram {
     /// exact [min_ns, max_ns] envelope (so a single-valued histogram
     /// returns that value exactly, and q=0 / q=1 return min / max).
     /// 0 when the histogram is empty. This is what the JSON snapshot's
-    /// derived p50_ns/p90_ns/p99_ns fields, the --profile table and
-    /// bench reports surface instead of raw bucket arrays.
+    /// derived p50_ns/p90_ns/p99_ns fields and the --profile table
+    /// surface instead of raw bucket arrays.
     double quantile_ns(double q) const;
   };
   Snapshot snapshot() const;

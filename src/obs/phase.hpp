@@ -3,8 +3,8 @@
 /// plus ScopedPhase — the one-line probe instrumentation sites use.
 ///
 /// Names are defined centrally so the pipeline, the CLI's `--profile`
-/// table, the bench scenarios' per-phase breakdown, the tests and the CI
-/// validator all agree on the exact strings; see docs/observability.md
+/// table, the tests and the CI validator all agree on the exact strings;
+/// see docs/observability.md
 /// for what each one measures.
 #pragma once
 
@@ -16,7 +16,7 @@ namespace pwcet::obs {
 /// Span + histogram names of the pWCET pipeline phases
 /// (analysis/pipeline.cpp), in execution order.
 namespace phase_name {
-/// Whole pipeline core (memo-miss path): extract..fmm under one span.
+/// Whole pipeline core, once per pipeline: extract..fmm under one span.
 inline constexpr const char* kCore = "pipeline.core";
 /// Per-domain reference extraction against the cache geometry.
 inline constexpr const char* kExtract = "phase.extract";
@@ -30,7 +30,7 @@ inline constexpr const char* kFmm = "phase.fmm";
 inline constexpr const char* kAnalyze = "pipeline.analyze";
 /// pwf weighting vectors (Eq. 2/3) for every domain.
 inline constexpr const char* kPwf = "phase.pwf";
-/// Pfail-independent penalty scaffold (bundle) build / fetch.
+/// Pfail-independent penalty scaffold (bundle) build / per-pipeline reuse.
 inline constexpr const char* kBundle = "phase.bundle";
 /// Per-set penalty distributions + their cross-set convolution.
 inline constexpr const char* kPenalty = "phase.penalty";

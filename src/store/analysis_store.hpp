@@ -2,9 +2,8 @@
 /// Facade over the two store tiers, shared by the pipeline and the
 /// campaign engine.
 ///
-/// One AnalysisStore instance serves a whole campaign (and, if the caller
-/// keeps it alive, any number of campaigns — that is how the warm
-/// `campaign.*` bench scenarios measure re-runs). All methods are
+/// One AnalysisStore instance serves a whole campaign (or, if the caller
+/// keeps it alive, any number of campaigns). All methods are
 /// thread-safe; pool workers use the store concurrently.
 ///
 /// Determinism: the store only ever returns bits some earlier invocation

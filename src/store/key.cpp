@@ -192,13 +192,4 @@ StoreKey hash_fault_model(Probability pfail) {
   return h.finish();
 }
 
-StoreKey pwcet_bundle_key(const StoreKey& core_key,
-                          const std::vector<std::uint64_t>& mechanisms) {
-  KeyHasher h("pwcet-bundle-v1");
-  h.mix_key(core_key);
-  h.mix_u64(mechanisms.size());
-  for (const std::uint64_t mechanism : mechanisms) h.mix_u64(mechanism);
-  return h.finish();
-}
-
 }  // namespace pwcet

@@ -100,12 +100,4 @@ StoreKey hash_cache_config(const CacheConfig& config);
 /// The fault model's sole parameter (cell failure probability), by bits.
 StoreKey hash_fault_model(Probability pfail);
 
-/// Key of the shared re-weighting bundle ("pwcet-bundle-v1"): the
-/// pfail-independent penalty scaffolding of one (pipeline core, per-domain
-/// mechanism assignment) pair — deliberately *without* the fault
-/// probability, so every pfail point of a sweep resolves to the same
-/// bundle and pays only the pwf re-weighting + convolution.
-StoreKey pwcet_bundle_key(const StoreKey& core_key,
-                          const std::vector<std::uint64_t>& mechanisms);
-
 }  // namespace pwcet

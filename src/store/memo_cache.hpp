@@ -73,7 +73,7 @@ class MemoCache {
   MemoCache& operator=(const MemoCache&) = delete;
 
   /// Looks up a key; a hit refreshes its LRU position. `layer` is an
-  /// observability-only attribution tag ("core", "set-penalty", ...) for
+  /// observability-only attribution tag ("result", "set-penalty", ...) for
   /// the per-layer metrics counters — it never affects lookup.
   std::shared_ptr<const void> get(const StoreKey& key,
                                   const char* layer = "other");

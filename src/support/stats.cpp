@@ -53,17 +53,4 @@ std::vector<double> sorted(std::span<const double> sample) {
   return v;
 }
 
-double median(std::span<const double> sample) {
-  return empirical_quantile(sample, 0.5);
-}
-
-double median_abs_deviation(std::span<const double> sample) {
-  PWCET_EXPECTS(!sample.empty());
-  const double center = median(sample);
-  std::vector<double> deviations;
-  deviations.reserve(sample.size());
-  for (double x : sample) deviations.push_back(std::abs(x - center));
-  return median(deviations);
-}
-
 }  // namespace pwcet

@@ -1,5 +1,5 @@
 // Small numeric statistics helpers shared by the MBPTA module, the
-// validation tests, and the benchmark harnesses.
+// campaign runner and the validation tests.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +29,5 @@ double empirical_exceedance(std::span<const double> sample, double threshold);
 
 /// Returns a sorted copy of the sample.
 std::vector<double> sorted(std::span<const double> sample);
-
-/// Sample median (empirical_quantile at 0.5): the location estimate the
-/// benchmark harness reports, robust to scheduler-noise outliers.
-double median(std::span<const double> sample);
-
-/// Median absolute deviation around the median — the harness's robust
-/// dispersion estimate. Multiply by 1.4826 for a normal-consistent sigma.
-double median_abs_deviation(std::span<const double> sample);
 
 }  // namespace pwcet

@@ -1,5 +1,6 @@
-// Plain-text table formatting used by the benchmark harnesses so that every
-// reproduced paper table/figure prints in a uniform, diff-friendly layout.
+// Plain-text table formatting used by the CLI and the campaign report sink
+// so that every reproduced paper table/figure prints in a uniform,
+// diff-friendly layout.
 #pragma once
 
 #include <string>

@@ -79,15 +79,12 @@ struct FmmBundle {
 ///
 /// With a `store` (store/analysis_store.hpp) and `engine == kTree`, each
 /// used set's three rows are memoized under `row_key_prefix` (which must
-/// cover program + config) chained with the set index — a recovery tier
-/// for bundle recomputation (concurrent same-core constructions, shard
-/// evictions of the bundle entry); a bundle-level memo hit never reaches
-/// it. The ILP engine is *not* row-memoized on purpose: skipping some
-/// maximize() calls would change the shared simplex's warm-start sequence
-/// for the remaining ones and perturb LP round-off; ILP results are
-/// instead cached all-or-nothing at the pipeline-core layer
-/// (PwcetPipeline's core memo, analysis/pipeline.cpp), which preserves
-/// the exact call sequence on every miss.
+/// cover program + config) chained with the set index, so pipelines that
+/// compose the same domain with different partners share the rows. The
+/// ILP engine is *not* row-memoized on purpose: skipping some maximize()
+/// calls would change the shared simplex's warm-start sequence for the
+/// remaining ones and perturb LP round-off; an ILP bundle is always
+/// computed whole, which preserves the exact call sequence.
 FmmBundle compute_fmm_bundle(const Program& program,
                              const CacheConfig& config,
                              const ReferenceMap& refs, WcetEngine engine,

@@ -453,17 +453,5 @@ TEST(Reweight, MultiDomainSweepMatchesFreshPipelines) {
   }
 }
 
-TEST(Reweight, BundleKeyOmitsPfailAndIsPinned) {
-  // The bundle recipe must never drift (persisted memo semantics), and —
-  // its entire point — must not incorporate the fault probability: the
-  // key is a pure function of (core key, mechanism assignment).
-  const StoreKey core = KeyHasher("pinned-core").mix_u64(42).finish();
-  const StoreKey key = pwcet_bundle_key(core, {0, 2});
-  EXPECT_EQ(key.hex(), pwcet_bundle_key(core, {0, 2}).hex());
-  EXPECT_NE(key, pwcet_bundle_key(core, {0, 1}));
-  EXPECT_NE(key, pwcet_bundle_key(core, {0}));
-  EXPECT_EQ(key.hex(), "fc42a10a1ab4c875820a9ca3da302e2a");
-}
-
 }  // namespace
 }  // namespace pwcet

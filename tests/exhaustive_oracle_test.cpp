@@ -390,7 +390,7 @@ TEST_P(RandomOracleTest, IcachePwcetDominatesExhaustiveDistribution) {
 TEST_P(RandomOracleTest, ReweightedPfailSweepDominatesExhaustive) {
   // The re-weighted path against the oracle wall: a pfail LADDER is
   // analyzed through ONE pipeline instance with a live store, so every
-  // point after the first reuses the cached pwcet-bundle-v1 scaffold and
+  // point after the first reuses the instance's cached penalty bundle and
   // only re-weights it. Each point must still dominate the exhaustive
   // fault-enumeration distribution — soundness survives the sharing.
   std::vector<std::vector<BlockId>> paths;

@@ -195,7 +195,7 @@ TEST_F(ObsTest, DisabledRegistryIgnoresGatedRecorders) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   registry.add("ignored.counter");
   registry.observe_ns("ignored.histogram", 42);
-  obs::count_store("memo", "core", "hits");
+  obs::count_store("memo", "result", "hits");
   EXPECT_TRUE(registry.counters().empty());
   EXPECT_TRUE(registry.histograms().empty());
 }
@@ -303,7 +303,15 @@ TEST_F(ObsTest, StructuralCountersAreDeterministicForSerialColdRuns) {
     options.shared_store = &store;
     run_campaign(tiny_spec(), options);
     obs::MetricsRegistry::instance().disable();
-    return structural_counters();
+    auto counters = structural_counters();
+    // Sample counts are structural too: one per pipeline core built.
+    counters.emplace_back(
+        "pipeline.core.count",
+        obs::MetricsRegistry::instance()
+            .histogram(obs::phase_name::kCore)
+            .snapshot()
+            .count);
+    return counters;
   };
 
   const auto first = run_once();
@@ -311,22 +319,21 @@ TEST_F(ObsTest, StructuralCountersAreDeterministicForSerialColdRuns) {
   EXPECT_EQ(first, second);
 
   // Spot-check the structural counts against the grid: 12 jobs in 2
-  // analyzer groups, each group one cold pipeline core.
-  std::uint64_t jobs = 0, spta = 0, core_misses = 0, result_misses = 0;
+  // analyzer groups, each group one pipeline core.
+  std::uint64_t jobs = 0, spta = 0, cores = 0, result_misses = 0;
   std::uint64_t set_penalty = 0;
   for (const auto& [name, value] : first) {
     if (name == "engine.jobs") jobs = value;
     if (name == "engine.jobs.spta") spta = value;
-    if (name == "store.memo.core.misses") core_misses = value;
+    if (name == "pipeline.core.count") cores = value;
     if (name == "store.memo.result.misses") result_misses = value;
     if (name == "store.memo.set-penalty.misses") set_penalty = value;
   }
   EXPECT_EQ(jobs, 12u);
   EXPECT_EQ(spta, 12u);
-  // One core lookup per group (the group reuses its analyzer in-object,
-  // so a cold run sees exactly one miss per group and no hits); one
+  // One core per group (the group reuses its pipeline in-object); one
   // result lookup per job, all cold misses.
-  EXPECT_EQ(core_misses, 2u);
+  EXPECT_EQ(cores, 2u);
   EXPECT_EQ(result_misses, 12u);
   EXPECT_GT(set_penalty, 0u);
 }

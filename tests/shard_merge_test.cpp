@@ -531,6 +531,40 @@ TEST_F(ShardMergeRejectionTest, CorruptedFragmentArtifactIsNamed) {
   EXPECT_NE(error.find(victim), std::string::npos) << error;
 }
 
+TEST_F(ShardMergeRejectionTest, NegativeCountInAFragmentRowIsNamed) {
+  const std::vector<std::string> dirs = run_shards(2);
+  const std::string victim = fragment_file(dirs[1]);
+  std::string bytes;
+  {
+    std::ifstream in(victim, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  ShardFragment fragment;
+  std::string diagnostic;
+  ASSERT_TRUE(parse_shard_fragment(bytes.substr(bytes.find('\n') + 1),
+                                   fragment, diagnostic))
+      << diagnostic;
+  // A validly hashed fragment whose row carries a count the writer could
+  // never print: it must be rejected, not wrapped to 2^64 - 1.
+  const std::string field = "\"penalty_points\":";
+  const std::size_t at = fragment.report_rows.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + field.size();
+  fragment.report_rows.replace(
+      value, fragment.report_rows.find(',', value) - value, "-1");
+  fs::remove(victim);
+  ASSERT_TRUE(ArtifactStore({dirs[1]}).store_text(
+      kShardFragmentKind,
+      shard_fragment_key(campaign_spec_key(doc_.spec), fragment.index,
+                         fragment.count),
+      render_shard_fragment(fragment)));
+  const std::string error = merge_error(dirs, 2);
+  EXPECT_NE(error.find("malformed report rows"), std::string::npos) << error;
+  EXPECT_NE(error.find(victim), std::string::npos) << error;
+}
+
 TEST_F(ShardMergeRejectionTest, StoreCollisionNamesKeyAndBothFiles) {
   const std::vector<std::string> dirs = run_shards(2);
   // Plant the same artifact key with different bytes in both stores.

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/icache_domain.hpp"
@@ -309,7 +310,8 @@ TEST(StoreIdentity, AnalyzerWithStoreMatchesWithoutBitForBit) {
   stored_options.store = &store;
   const PwcetPipeline stored(
       program, {std::make_shared<const IcacheDomain>(config)}, stored_options);
-  // Second stored analyzer: core comes entirely from the memo.
+  // Second stored analyzer: it recomputes its core, and its results come
+  // from the first one's result-memo entries.
   const PwcetPipeline memoized(
       program, {std::make_shared<const IcacheDomain>(config)}, stored_options);
 
@@ -438,8 +440,7 @@ TEST(StoreIdentity, GroupKeyIsContentDerived) {
             campaign_spec_key(identity_spec()));
 
   // A job with the data cache enabled must land in a different analyzer
-  // group: the I+D pipeline's memoized core depends on the dcache
-  // geometry.
+  // group: the I+D pipeline's core depends on the dcache geometry.
   CampaignJob with_dcache = *first;
   with_dcache.dcache.enabled = true;
   with_dcache.dcache.geometry.sets = 8;
@@ -527,6 +528,77 @@ TEST(ReportEscaping, JsonlEscapesControlCharacters) {
   EXPECT_EQ(static_cast<int>(std::count(jsonl.begin(), jsonl.end(), '\n')), 1);
   EXPECT_NE(jsonl.find("task,\\\"x\\\"\\n\\r\\t\\u0001 end"),
             std::string::npos);
+}
+
+// ---- warm-path row parsers -------------------------------------------------
+
+/// Parses `row` (one rendered scalar JSONL line) back into a single slot.
+bool parses_report_row(const std::string& row, JobResult& out) {
+  const CampaignResult campaign = synthetic_campaign("fibcall");
+  std::vector<JobResult> results(1);
+  const bool ok = parse_campaign_report_rows(
+      row, {campaign.results[0].job}, {0}, results);
+  out = results[0];
+  return ok;
+}
+
+/// `row` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string row, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = row.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) row.replace(at, from.size(), to);
+  return row;
+}
+
+TEST(ReportRowParse, RejectsWhatTheJsonGrammarOrTheColumnTypeForbids) {
+  // A persisted row is disk input: anything the writer could not have
+  // printed must send the warm path back to recomputation (and make
+  // `pwcet merge` name the fragment) rather than load a wrapped value.
+  CampaignResult campaign = synthetic_campaign("fibcall");
+  campaign.results[0].fault_free_wcet = 7;
+  campaign.results[0].penalty_points = 3;
+  campaign.results[0].penalty_mean = 3622.7323597974682;
+  campaign.results[0].bound_misses_1 = 18446744073709551615ull;
+  const std::string row = report_jsonl(campaign);
+  // What the writer prints reads back to the same bytes, the full u64
+  // range included.
+  JobResult parsed;
+  ASSERT_TRUE(parses_report_row(row, parsed));
+  CampaignResult reread = campaign;
+  reread.results[0] = parsed;
+  EXPECT_EQ(report_jsonl(reread), row);
+
+  for (const auto& [from, to] : std::vector<std::pair<std::string,
+                                                      std::string>>{
+           {"\"penalty_points\":3", "\"penalty_points\":-1"},
+           {"\"wcet_ff\":7", "\"wcet_ff\":-5"},
+           {"\"wcet_ff\":7", "\"wcet_ff\":7.5"},
+           {"\"fetches\":0", "\"fetches\":1e3"},
+           {"\"fetches\":0", "\"fetches\":\"0\""},
+           {"\"sim_misses\":0", "\"sim_misses\":18446744073709551616"},
+           {"\"wcet_ff\":7", "\"wcet_ff\":9223372036854775808"},
+           {"\"pwcet\":123", "\"pwcet\":nan"},
+           {"\"observed_max\":0", "\"observed_max\":inf"},
+           {"\"penalty_mean\":3622.7323597974682", "\"penalty_mean\":null"},
+           {",\"bound_misses_1\":18446744073709551615", ""},
+           {"}", "} trailing"},
+       }) {
+    EXPECT_FALSE(parses_report_row(replaced(row, from, to), parsed))
+        << from << " -> " << to;
+  }
+
+  campaign.spec.ccdf_exceedances = {1.0};
+  campaign.results[0].curve = {7.0};
+  const std::string dist = report_dist_jsonl(campaign);
+  std::vector<JobResult> results(1);
+  ASSERT_TRUE(parse_campaign_dist_rows(dist, 1, {0}, results));
+  EXPECT_EQ(results[0].curve, campaign.results[0].curve);
+  EXPECT_FALSE(parse_campaign_dist_rows(
+      replaced(dist, "\"value\":7", "\"value\":nan"), 1, {0}, results));
+  EXPECT_FALSE(parse_campaign_dist_rows(
+      replaced(dist, "\"exceedance\":1", "\"exceedance\":inf"), 1, {0},
+      results));
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Unit tests for src/support: RNG, statistics (including the robust
-// median/MAD pair benchlib builds on), table formatting, and the JSON
+// Unit tests for src/support: RNG, statistics, table formatting, and the JSON
 // parser's hostile-input edge cases (nesting depth, lone surrogates,
 // overflowing numbers, trailing bytes).
 #include <gtest/gtest.h>
@@ -105,6 +104,9 @@ TEST(Stats, EmpiricalQuantileEndpointsAndMiddle) {
 TEST(Stats, EmpiricalQuantileUnsortedInput) {
   const std::vector<double> v{50.0, 10.0, 40.0, 20.0, 30.0};
   EXPECT_DOUBLE_EQ(empirical_quantile(v, 0.5), 30.0);
+  // Even length: the midpoint interpolates between the two middle values.
+  EXPECT_DOUBLE_EQ(
+      empirical_quantile(std::vector<double>{4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);
 }
 
 TEST(Stats, QuantileMonotoneInQ) {
@@ -124,25 +126,6 @@ TEST(Stats, EmpiricalExceedance) {
   EXPECT_DOUBLE_EQ(empirical_exceedance(v, 0.5), 1.0);
   EXPECT_DOUBLE_EQ(empirical_exceedance(v, 2.0), 0.5);
   EXPECT_DOUBLE_EQ(empirical_exceedance(v, 4.0), 0.0);
-}
-
-TEST(Stats, MedianOddEvenAndUnsorted) {
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{4.0, 1.0, 3.0, 2.0}), 2.5);
-  EXPECT_DOUBLE_EQ(median(std::vector<double>{7.0}), 7.0);
-}
-
-TEST(Stats, MedianAbsDeviationIsRobustToOneOutlier) {
-  // {1,2,3,4,5}: median 3, |x-3| = {2,1,0,1,2}, MAD = 1.
-  EXPECT_DOUBLE_EQ(
-      median_abs_deviation(std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}),
-      1.0);
-  // Replacing the max with a huge outlier leaves the MAD unchanged —
-  // the property the bench noise band depends on (stddev would explode).
-  EXPECT_DOUBLE_EQ(
-      median_abs_deviation(std::vector<double>{1.0, 2.0, 3.0, 4.0, 1e9}),
-      1.0);
-  EXPECT_DOUBLE_EQ(median_abs_deviation(std::vector<double>{5.0, 5.0}), 0.0);
 }
 
 // ---- json_doc hostile inputs ----------------------------------------------
